@@ -2,8 +2,8 @@
 // loop (the pre-batching seed path) against the batched im2col+GEMM engine,
 // on the Table II eval-set workload (the procedural signs test set) for all
 // three sign-classifier architectures, plus the kernel-backend registry
-// (scalar / avx2 / int8). Emits BENCH_ml.json stamped with run metadata
-// (git SHA, build type, compiler).
+// (scalar / avx2). Emits BENCH_ml.json stamped with run metadata (git SHA,
+// build type, compiler).
 //
 // Claims checked, not just timed:
 //   * batched predictions reproduce the naive per-sample argmax on every
@@ -11,24 +11,19 @@
 //   * batched logits stay within 1e-5 of the naive ones;
 //   * batched logits are bit-identical for 1/2/4/8 threads;
 //   * every supported backend is bit-identical to itself across threads;
-//   * on the fully-trained Table II weights (cached like the table2 bench,
-//     only the first invocation trains): avx2 argmax-identical to scalar,
-//     int8 within the declared drift tolerance at >= 99% argmax agreement
-//     per model — the gates bench_compare.py enforces in CI.
+//   * avx2 is argmax-identical to scalar on every eval image — the gates
+//     bench_compare.py enforces in CI.
 //
-// Usage: bench_ml [--out PATH] [--metrics PATH] [--trace PATH] [--cache DIR]
+// Usage: bench_ml [--out PATH] [--metrics PATH] [--trace PATH]
 //   --out      result table        (default BENCH_ml.json)
 //   --metrics  metrics snapshot    (default BENCH_ml.metrics.json)
 //   --trace    Chrome/Perfetto trace of the whole run (off unless given)
-//   --cache    trained-parameter cache shared with table2_model_accuracy
-//              (default .mvreju_cache)
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -117,13 +112,6 @@ struct BackendRow {
     std::vector<ThreadRow> threads;
 };
 
-/// Per-model int8-vs-scalar accuracy on the trained Table II weights.
-struct TrainedInt8Row {
-    std::string name;
-    double agreement = 0.0;
-    double max_logit_drift = 0.0;
-};
-
 /// Raw C += A·B throughput in GFLOP/s at one thread (the per-core number
 /// the avx2 >= 2x scalar gate compares).
 double gemm_gflops_1thread(const num::KernelBackend& kb, std::size_t m,
@@ -135,27 +123,6 @@ double gemm_gflops_1thread(const num::KernelBackend& kb, std::size_t m,
     const double ms =
         time_best_ms(3, [&] { kb.sgemm(m, n, k, a.data(), b.data(), c.data(), 1); });
     return 2.0 * static_cast<double>(m * n * k) / 1e6 / ms;
-}
-
-/// Load the trained Table II parameters from `cache`, training and caching
-/// them on the first run (same recipe + file naming as table2_model_accuracy,
-/// so the two benches share one cache).
-void load_or_train(ml::Sequential& model, const ml::Dataset& train,
-                   const std::filesystem::path& cache) {
-    namespace fs = std::filesystem;
-    fs::create_directories(cache);
-    const fs::path file = cache / (model.name() + "_signs.params");
-    if (fs::exists(file)) {
-        model.load_parameters(file);
-        return;
-    }
-    std::cout << "training " << model.name() << " (cold parameter cache)...\n";
-    ml::TrainConfig tc;
-    tc.epochs = 16;
-    tc.learning_rate = 0.025f;
-    tc.lr_decay = 0.88f;
-    model.train(train, tc);
-    model.save_parameters(file);
 }
 
 bool write_json(const std::string& path, std::size_t images,
@@ -203,8 +170,6 @@ bool write_json(const std::string& path, std::size_t images,
 int main(int argc, char** argv) {
     const util::Args args(argc, argv);
     const std::string out_path = args.get("out", std::string("BENCH_ml.json"));
-    const std::filesystem::path cache(
-        args.get("cache", std::string(".mvreju_cache")));
     obs::Session session(args, "BENCH_ml.metrics.json");
 
     // The Table II workload: the full procedural signs test set. Training
@@ -299,10 +264,8 @@ int main(int argc, char** argv) {
     std::vector<BackendRow> backend_rows;
     bool all_backend_bits = true;
     bool avx2_argmax_identical = false;
-    double scalar_gflops = 0.0, avx2_gflops = 0.0, int8_gflops = 0.0;
+    double scalar_gflops = 0.0, avx2_gflops = 0.0;
 
-    ml::Sequential& sweep_model = models[0];  // MiniAlexNet, the largest
-    std::vector<int> scalar_preds;
     for (const num::KernelBackend* kb : num::backends()) {
         BackendRow br;
         br.name = std::string(kb->name());
@@ -314,16 +277,18 @@ int main(int argc, char** argv) {
         br.gemm_gflops = gemm_gflops_1thread(*kb, kGemmM, kGemmN, kGemmK);
         if (br.name == "scalar") scalar_gflops = br.gemm_gflops;
         if (br.name == "avx2") avx2_gflops = br.gemm_gflops;
-        if (br.name == "int8") int8_gflops = br.gemm_gflops;
 
         // Full-eval-set argmax vs the scalar oracle, across all three
-        // architectures (not just the sweep model).
+        // architectures (not just the sweep model). The rows above ran the
+        // models unbound, i.e. through scalar; a bound copy runs the same
+        // weights through this backend.
         br.argmax_identical_to_scalar = true;
-        for (ml::Sequential& model : models) {
+        for (const ml::Sequential& model : models) {
+            ml::Sequential bound = model;
+            bound.bind_backend(kb);
             ml::Workspace ws;
-            const ml::Tensor oracle =
-                model.logits_batch(full_batch, ws, 1, num::scalar_backend());
-            const ml::Tensor mine = model.logits_batch(full_batch, ws, 1, *kb);
+            const ml::Tensor oracle = model.logits_batch(full_batch, ws, 1);
+            const ml::Tensor mine = bound.logits_batch(full_batch, ws, 1);
             for (std::size_t i = 0; i < images.size(); ++i) {
                 const float* orow = oracle.data().data() + i * data::kSignClasses;
                 const float* mrow = mine.data().data() + i * data::kSignClasses;
@@ -337,20 +302,20 @@ int main(int argc, char** argv) {
         }
         if (br.name == "avx2") avx2_argmax_identical = br.argmax_identical_to_scalar;
 
+        ml::Sequential sweep_model = models[0];  // MiniAlexNet, the largest
+        sweep_model.bind_backend(kb);
         ml::Workspace ws;
-        const ml::Tensor ref = sweep_model.logits_batch(full_batch, ws, 1, *kb);
+        const ml::Tensor ref = sweep_model.logits_batch(full_batch, ws, 1);
         br.bit_identical_across_threads = true;
         for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                                     std::size_t{8}}) {
             ThreadRow tr;
             tr.threads = threads;
-            sweep_model.bind_backend(kb);
             tr.ms = time_best_ms(
                 3, [&] { (void)sweep_model.predict_batch(images, threads); });
-            sweep_model.bind_backend(nullptr);
             tr.images_per_s = 1000.0 * static_cast<double>(images.size()) / tr.ms;
             tr.speedup_vs_1 = br.threads.empty() ? 1.0 : br.threads.front().ms / tr.ms;
-            ml::Tensor logits_t = sweep_model.logits_batch(full_batch, ws, threads, *kb);
+            ml::Tensor logits_t = sweep_model.logits_batch(full_batch, ws, threads);
             tr.bit_identical_to_1thread =
                 logits_t.size() == ref.size() &&
                 std::memcmp(logits_t.data().data(), ref.data().data(),
@@ -373,46 +338,6 @@ int main(int argc, char** argv) {
         num::find_backend("avx2") != nullptr && num::avx2_supported();
     const double avx2_speedup =
         scalar_gflops > 0.0 ? avx2_gflops / scalar_gflops : 0.0;
-
-    // ---- int8 accuracy on the fully-trained Table II weights ----
-    //
-    // The quantized replica serves alongside float32 versions, so its gate
-    // runs on serving-grade weights (cached; same recipe as table2).
-    data::SignDatasetConfig trained_cfg;  // the full default training set
-    const auto trained_ds = data::make_traffic_signs(trained_cfg);
-    const num::KernelBackend& int8 = *num::find_backend("int8");
-    std::vector<TrainedInt8Row> trained_rows;
-    double int8_agreement_min = 1.0;
-    double int8_drift_max = 0.0;
-    for (ml::Sequential& model : models) {
-        load_or_train(model, trained_ds.train, cache);
-        ml::Workspace ws;
-        const ml::Tensor oracle =
-            model.logits_batch(full_batch, ws, 1, num::scalar_backend());
-        const ml::Tensor quant = model.logits_batch(full_batch, ws, 1, int8);
-        TrainedInt8Row tr;
-        tr.name = model.name();
-        std::size_t agree = 0;
-        for (std::size_t i = 0; i < images.size(); ++i) {
-            const float* orow = oracle.data().data() + i * data::kSignClasses;
-            const float* qrow = quant.data().data() + i * data::kSignClasses;
-            std::size_t ob = 0, qb = 0;
-            for (std::size_t c = 0; c < data::kSignClasses; ++c) {
-                if (orow[c] > orow[ob]) ob = c;
-                if (qrow[c] > qrow[qb]) qb = c;
-                tr.max_logit_drift = std::max(
-                    tr.max_logit_drift,
-                    static_cast<double>(std::fabs(qrow[c] - orow[c])));
-            }
-            agree += (ob == qb);
-        }
-        tr.agreement = static_cast<double>(agree) / static_cast<double>(images.size());
-        int8_agreement_min = std::min(int8_agreement_min, tr.agreement);
-        int8_drift_max = std::max(int8_drift_max, tr.max_logit_drift);
-        std::cout << "int8_trained " << tr.name << " agreement=" << tr.agreement
-                  << " max_logit_drift=" << tr.max_logit_drift << "\n";
-        trained_rows.push_back(std::move(tr));
-    }
 
     std::ostringstream extra;
     extra << std::setprecision(17);
@@ -439,23 +364,13 @@ int main(int argc, char** argv) {
     extra << "  ],\n";
     extra << "  \"gemm\": {\"m\": " << kGemmM << ", \"n\": " << kGemmN
           << ", \"k\": " << kGemmK << ", \"scalar_gflops\": " << scalar_gflops
-          << ", \"avx2_gflops\": " << avx2_gflops
-          << ", \"int8_gflops\": " << int8_gflops << "},\n";
+          << ", \"avx2_gflops\": " << avx2_gflops << "},\n";
     extra << "  \"avx2_supported\": " << (avx2_supported ? "true" : "false") << ",\n";
     extra << "  \"avx2_gemm_speedup\": " << avx2_speedup << ",\n";
     extra << "  \"avx2_argmax_identical\": "
           << (avx2_argmax_identical ? "true" : "false") << ",\n";
     extra << "  \"all_backends_bit_identical\": "
           << (all_backend_bits ? "true" : "false") << ",\n";
-    extra << "  \"int8_trained\": {\"agreement_min\": " << int8_agreement_min
-          << ", \"max_logit_drift\": " << int8_drift_max << ", \"per_model\": [\n";
-    for (std::size_t i = 0; i < trained_rows.size(); ++i) {
-        const TrainedInt8Row& tr = trained_rows[i];
-        extra << "    {\"name\": \"" << tr.name << "\", \"agreement\": "
-              << tr.agreement << ", \"max_logit_drift\": " << tr.max_logit_drift
-              << "}" << (i + 1 < trained_rows.size() ? ",\n" : "\n");
-    }
-    extra << "  ]},\n";
 
     if (!write_json(out_path, images.size(), rows, all_argmax, all_bits, min_speedup,
                     extra.str())) {

@@ -88,18 +88,8 @@ public:
     /// Inference pass (no gradient caching).
     [[nodiscard]] Tensor logits(const Tensor& input) const;
 
-    /// logits() through an explicit backend, overriding the bound one for
-    /// this call only — how a quantized replica shares float32 weights with
-    /// its sibling version without cloning them.
-    [[nodiscard]] Tensor logits(const Tensor& input,
-                                const num::KernelBackend& kernels) const;
-
     /// Class prediction: argmax over logits.
     [[nodiscard]] int predict(const Tensor& input) const;
-
-    /// predict() through an explicit backend (see logits() overload).
-    [[nodiscard]] int predict(const Tensor& input,
-                              const num::KernelBackend& kernels) const;
 
     /// Softmax probabilities over the logits.
     [[nodiscard]] std::vector<float> probabilities(const Tensor& input) const;
@@ -111,13 +101,6 @@ public:
     /// (0 = auto, 1 = serial; see util::parallel_for).
     [[nodiscard]] Tensor logits_batch(const Tensor& batch, Workspace& ws,
                                       std::size_t num_threads = 1) const;
-
-    /// logits_batch() through an explicit backend, overriding the bound one
-    /// for this call — the serving batcher uses this to flush each
-    /// (model, backend) queue through the backend the queue is keyed on.
-    [[nodiscard]] Tensor logits_batch(const Tensor& batch, Workspace& ws,
-                                      std::size_t num_threads,
-                                      const num::KernelBackend& kernels) const;
 
     /// Class predictions for a set of equally-shaped images, chunked through
     /// logits_batch(). Results are identical to calling predict() per image

@@ -288,8 +288,8 @@ Tensor Conv2D::infer(const Tensor& batch, Workspace& ws,
     float* colp = col.data();
 
     auto run_sample = [&](std::size_t s, float* col_s) {
-        kb.im2col(in + s * in_channels_ * h * w, in_channels_, h, w, kernel_, pad_,
-                  col_s);
+        num::im2col(in + s * in_channels_ * h * w, in_channels_, h, w, kernel_, pad_,
+                    col_s);
         float* out_s = outp + s * out_channels_ * ohow;
         num::fill_cols(out_channels_, ohow, bias, out_s);
         kb.sgemm(out_channels_, ohow, ckk, weights, col_s, out_s, 1);

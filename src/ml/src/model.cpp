@@ -50,11 +50,6 @@ Sequential& Sequential::add(std::unique_ptr<Layer> layer) {
 }
 
 Tensor Sequential::logits(const Tensor& input) const {
-    return logits(input, backend());
-}
-
-Tensor Sequential::logits(const Tensor& input,
-                          const num::KernelBackend& kernels) const {
     Workspace& ws = local_workspace();
     std::vector<std::size_t> batch_shape;
     batch_shape.reserve(input.rank() + 1);
@@ -63,7 +58,7 @@ Tensor Sequential::logits(const Tensor& input,
     Tensor batch = ws.take(std::move(batch_shape));
     std::memcpy(batch.data().data(), input.data().data(),
                 input.size() * sizeof(float));
-    Tensor out = logits_batch(batch, ws, /*num_threads=*/1, kernels);
+    Tensor out = logits_batch(batch, ws, /*num_threads=*/1);
     ws.give(std::move(batch));
     Tensor result(
         std::vector<std::size_t>(out.shape().begin() + 1, out.shape().end()),
@@ -74,13 +69,8 @@ Tensor Sequential::logits(const Tensor& input,
 
 Tensor Sequential::logits_batch(const Tensor& batch, Workspace& ws,
                                 std::size_t num_threads) const {
-    return logits_batch(batch, ws, num_threads, backend());
-}
-
-Tensor Sequential::logits_batch(const Tensor& batch, Workspace& ws,
-                                std::size_t num_threads,
-                                const num::KernelBackend& kernels) const {
     if (layers_.empty()) throw std::logic_error("Sequential: empty model");
+    const num::KernelBackend& kernels = backend();
     ws.bind_kernels(&kernels);
     if (batch.rank() < 2 || batch.shape()[0] == 0)
         throw std::invalid_argument(
@@ -102,15 +92,23 @@ Tensor Sequential::logits_batch(const Tensor& batch, Workspace& ws,
     static obs::Gauge& workspace_bytes =
         obs::metrics().gauge("ml.infer.workspace_bytes");
     static obs::Gauge& backend_gauge = obs::metrics().gauge("ml.backend.name");
+    // Which backend served: the gauge holds the registry index of the most
+    // recent dispatch, the per-backend counters tally dispatches by name.
+    // The counters are resolved once, indexed by registry position, so a
+    // dispatch builds no name and does no by-name registry lookup.
+    static const std::vector<obs::Counter*> dispatches = [] {
+        std::vector<obs::Counter*> table;
+        for (const num::KernelBackend* kb : num::backends())
+            table.push_back(&obs::metrics().counter("ml.backend.dispatches." +
+                                                    std::string(kb->name())));
+        return table;
+    }();
     images.add(nb);
     batch_sizes.record(static_cast<double>(nb));
     workspace_bytes.set(static_cast<double>(ws.bytes()));
-    // Which backend served: the gauge holds the registry index of the most
-    // recent dispatch, the per-backend counters tally dispatches by name.
-    backend_gauge.set(static_cast<double>(num::backend_index(kernels)));
-    obs::metrics()
-        .counter("ml.backend.dispatches." + std::string(kernels.name()))
-        .add(1);
+    const std::size_t index = num::backend_index(kernels);
+    backend_gauge.set(static_cast<double>(index));
+    dispatches[index]->add(1);
     return x;
 }
 
@@ -178,11 +176,6 @@ std::vector<int> Sequential::predict_batch(std::span<const Tensor> images,
 
 int Sequential::predict(const Tensor& input) const {
     return static_cast<int>(argmax(logits(input)));
-}
-
-int Sequential::predict(const Tensor& input,
-                        const num::KernelBackend& kernels) const {
-    return static_cast<int>(argmax(logits(input, kernels)));
 }
 
 std::vector<float> Sequential::probabilities(const Tensor& input) const {

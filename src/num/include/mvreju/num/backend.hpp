@@ -3,10 +3,10 @@
 // Runtime-selectable kernel backends for the inference stack (ROADMAP
 // item 2, in the spirit of mlpack's design-for-multiple-backends).
 //
-// A KernelBackend bundles the three compute kernels the ML layers dispatch
-// through — sgemm / sgemm_nt / im2col — behind one interface so a model can
-// be *bound* to a backend once at load time and the hot loop stays free of
-// per-call branching. Three implementations register here:
+// A KernelBackend bundles the two GEMM kernels the ML layers dispatch
+// through — sgemm / sgemm_nt — behind one interface so a model can be
+// *bound* to a backend once at load time and the hot loop stays free of
+// per-call branching. Two implementations register here:
 //
 //  - "scalar": the existing gemm.cpp kernels, unchanged semantics. This is
 //    the bit-exact oracle every other backend is gated against.
@@ -15,11 +15,6 @@
 //    check. Deterministic (fixed summation order, one task per output
 //    element) but NOT bit-identical to scalar — it is gated on argmax
 //    equivalence over the full eval set instead.
-//  - "int8": symmetric quantize → int32 accumulate → dequantize. The int32
-//    accumulation is exact, so results are bit-identical across thread
-//    counts AND batch compositions (per-row activation scales keep each
-//    sample's quantization independent of its batch-mates). Numerically it
-//    is a deliberately *diverse* replica for the voting path.
 //
 // Determinism contract (all backends): every output element is produced by
 // exactly one task in a fixed reduction order, so a backend's results are
@@ -36,7 +31,7 @@ class KernelBackend {
 public:
     virtual ~KernelBackend() = default;
 
-    /// Stable registry name ("scalar", "avx2", "int8").
+    /// Stable registry name ("scalar", "avx2").
     [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 
     /// True when this backend reproduces the scalar kernels bit-for-bit.
@@ -56,19 +51,13 @@ public:
     /// convention as num::sgemm_nt.
     virtual void sgemm_nt(std::size_t m, std::size_t n, std::size_t k, const float* a,
                           const float* b, float* c, std::size_t num_threads) const = 0;
-
-    /// Unfold one image into a column matrix; defaults to the scalar
-    /// num::im2col (quantized/tiled backends only change the GEMM).
-    virtual void im2col(const float* image, std::size_t channels, std::size_t height,
-                        std::size_t width, std::size_t kernel, std::size_t pad,
-                        float* col) const;
 };
 
 /// The bit-exact oracle backend (always present, index 0 in backends()).
 [[nodiscard]] const KernelBackend& scalar_backend() noexcept;
 
 /// Every compiled-in backend in stable registry order: scalar, then avx2
-/// (when the toolchain could compile it), then int8. Entries may still be
+/// (when the toolchain could compile it). Entries may still be
 /// unsupported() on this host — filter before dispatching.
 [[nodiscard]] const std::vector<const KernelBackend*>& backends() noexcept;
 

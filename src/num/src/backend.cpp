@@ -9,16 +9,9 @@
 
 namespace mvreju::num {
 
-// Defined in backend_avx2.cpp / backend_int8.cpp. The avx2 hook returns
-// nullptr when the toolchain could not compile the intrinsics.
+// Defined in backend_avx2.cpp; returns nullptr when the toolchain could not
+// compile the intrinsics.
 const KernelBackend* avx2_backend_or_null() noexcept;
-const KernelBackend& int8_backend() noexcept;
-
-void KernelBackend::im2col(const float* image, std::size_t channels,
-                           std::size_t height, std::size_t width, std::size_t kernel,
-                           std::size_t pad, float* col) const {
-    num::im2col(image, channels, height, width, kernel, pad, col);
-}
 
 namespace {
 
@@ -43,7 +36,6 @@ std::vector<const KernelBackend*> build_registry() {
     std::vector<const KernelBackend*> list;
     list.push_back(&g_scalar);
     if (const KernelBackend* avx2 = avx2_backend_or_null()) list.push_back(avx2);
-    list.push_back(&int8_backend());
     return list;
 }
 
@@ -76,8 +68,11 @@ const KernelBackend& select_backend(std::string_view requested) {
             obs::log_warn("backend 'avx2' not compiled in; falling back to scalar");
             return g_scalar;
         }
+        std::string known;
+        for (const KernelBackend* b : backends())
+            known += (known.empty() ? "" : ", ") + std::string(b->name());
         throw std::invalid_argument("unknown kernel backend: '" + std::string(name) +
-                                    "' (known: scalar, avx2, int8)");
+                                    "' (known: " + known + ")");
     }
     if (!backend->supported()) {
         obs::log_warn("backend '" + std::string(backend->name()) +

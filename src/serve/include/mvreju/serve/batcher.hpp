@@ -2,21 +2,21 @@
 
 // Cross-stream dynamic batcher: the serving layer's throughput engine.
 // Sessions submit single samples destined for a (shared, const) model; the
-// batcher stages them per (model, kernel backend) pair and flushes a staged
-// batch through one Sequential::logits_batch call either when it reaches
-// max_batch (full flush, inside submit) or when its oldest sample has
-// waited max_delay_us (deadline flush, driven by the owner's clock through
-// flush_due). Keying on the backend as well as the model is load-bearing:
-// an int8 replica shares its float32 sibling's Sequential and differs only
-// in backend, and coalescing the two into one flush would run half the
-// batch through the wrong arithmetic.
+// batcher stages them per model and flushes a staged batch through one
+// Sequential::logits_batch call either when it reaches max_batch (full
+// flush, inside submit) or when its oldest sample has waited max_delay_us
+// (deadline flush, driven by the owner's clock through flush_due). A flush
+// runs through the kernel backend the model was bound to at load time.
 //
-// Correctness contract: logits_batch guarantees every sample's logits are
-// bit-identical however the samples are batched and whatever num_threads is
-// used, and the per-row argmax below replicates ml::argmax's first-max
-// tie-break exactly — so a label produced through any batching equals the
-// label of model->predict(sample). tests/serve_batcher_test.cpp holds this
-// bit-exactly; the serve benchmark gates on it across a whole fleet.
+// Correctness contract: on the scalar backend logits_batch guarantees every
+// sample's logits are bit-identical however the samples are batched and
+// whatever num_threads is used, and the per-row argmax below replicates
+// ml::argmax's first-max tie-break exactly — so a label produced through
+// any batching equals the label of model->predict(sample).
+// tests/serve_batcher_test.cpp holds this bit-exactly; the serve benchmark
+// gates on it across a whole fleet. avx2 is deterministic per batch size
+// but its Dense layer sums in a different order at batch >= 8 than at
+// batch 1, so an avx2-bound model matches predict() up to argmax near-ties.
 //
 // The batcher is passive and clock-agnostic: it never reads a clock, the
 // caller stamps submissions with `now_us` (virtual time in the deterministic
@@ -72,14 +72,10 @@ public:
 
     explicit DynamicBatcher(Options options);
 
-    /// Stage one sample (copied) for `model` run through `backend` (null
-    /// resolves to the model's own bound backend). Queues are keyed on the
-    /// (model, backend) pair — samples for the same weights but different
-    /// backends never share a flush. Flushes immediately when the pair's
-    /// queue reaches max_batch.
+    /// Stage one sample (copied) for `model`. Queues are keyed on the model
+    /// alone; flushes immediately when the model's queue reaches max_batch.
     void submit(const ml::Sequential* model, const float* sample,
-                std::uint64_t now_us, Completion done,
-                const num::KernelBackend* backend = nullptr);
+                std::uint64_t now_us, Completion done);
 
     /// Earliest deadline over all staged queues (oldest submit time +
     /// max_delay_us); nullopt when nothing is staged. The owner sleeps no
@@ -100,14 +96,13 @@ public:
 
 private:
     struct Queue {
-        const ml::Sequential* model = nullptr;
-        const num::KernelBackend* backend = nullptr;  ///< queue key, never null
+        const ml::Sequential* model = nullptr;  ///< queue key
         std::vector<float> staging;        ///< size() = count * sample_size
         std::vector<Completion> done;      ///< one per staged sample
         std::uint64_t oldest_us = 0;       ///< submit stamp of the first sample
     };
 
-    Queue& queue_for(const ml::Sequential* model, const num::KernelBackend* backend);
+    Queue& queue_for(const ml::Sequential* model);
     std::size_t flush_queue(Queue& queue, std::uint64_t formed_us);
 
     Options options_;

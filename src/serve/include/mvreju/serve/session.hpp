@@ -30,16 +30,11 @@
 namespace mvreju::serve {
 
 /// Pointer table into the shared models, indexed by version: the batcher
-/// needs the raw Sequential *and* the kernel backend for a (version, health
-/// state) pair. Versions may share one Sequential and differ only in
-/// backend — the int8 replica runs version 0's float32 weights through the
-/// quantized kernels — which is why the batcher keys its staging queues on
-/// (model, backend), never on the model alone.
+/// needs the raw Sequential for a (version, health state) pair. Each model
+/// carries its own load-time backend binding.
 struct StreamModelPool {
     std::vector<const ml::Sequential*> healthy;
     std::vector<const ml::Sequential*> compromised;
-    /// Kernel backend per version (applies to both health states).
-    std::vector<const num::KernelBackend*> backends;
 
     [[nodiscard]] std::size_t size() const noexcept { return healthy.size(); }
 
@@ -47,11 +42,6 @@ struct StreamModelPool {
     [[nodiscard]] const ml::Sequential* model_for(std::size_t m,
                                                   core::ModuleState s) const {
         return s == core::ModuleState::healthy ? healthy.at(m) : compromised.at(m);
-    }
-
-    /// The kernel backend version `m` dispatches through.
-    [[nodiscard]] const num::KernelBackend& backend_for(std::size_t m) const {
-        return *backends.at(m);
     }
 };
 
@@ -67,7 +57,7 @@ struct ModelSet {
     std::shared_ptr<const Pool> behaviours;
     /// Per-sample input shape, e.g. {3, 16, 16}.
     std::vector<std::size_t> input_shape;
-    /// Name of the kernel backend the float32 versions are bound to.
+    /// Name of the kernel backend the versions are bound to.
     std::string backend_name = "scalar";
 
     /// Flat element count of one input sample (C*H*W).
@@ -81,14 +71,10 @@ struct ModelSetConfig {
     std::size_t side = 16;
     int classes = 8;
     std::uint64_t seed = 38;  ///< init seeds: seed, seed+1, seed+2
-    /// Kernel backend the float32 versions bind at load time; resolved via
+    /// Kernel backend the versions bind at load time; resolved via
     /// num::select_backend ("" → MVREJU_BACKEND env → scalar, with CPUID
     /// fallback). Unknown names throw.
     std::string backend;
-    /// Register a fourth version that runs version 0's float32 weights
-    /// through the int8 quantized kernels — arithmetic diversity joining
-    /// the weight-diverse trio in the vote.
-    bool int8_replica = false;
 };
 
 /// The paper's diverse trio (LeNet/AlexNet/ResNet stand-ins) with one
@@ -131,12 +117,6 @@ public:
     [[nodiscard]] const ml::Sequential* model_for(std::size_t m,
                                                   core::ModuleState s) const {
         return core::is_functional(s) ? models_->model_for(m, s) : nullptr;
-    }
-
-    /// The kernel backend version `m` dispatches through (pairs with
-    /// model_for to form the batcher's queue key).
-    [[nodiscard]] const num::KernelBackend& backend_for(std::size_t m) const {
-        return models_->backend_for(m);
     }
 
     /// Index of the primary version for the degraded (load-shedding) path:

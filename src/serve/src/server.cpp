@@ -6,8 +6,8 @@
 #include <mutex>
 #include <optional>
 #include <thread>
-#include <tuple>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "mvreju/net/conn.hpp"
@@ -255,15 +255,13 @@ struct Server::Impl {
         // batch may flush synchronously, run on_label, and erase this frame
         // from `inflight` — so nothing below may hold references into it
         // across a submit.
-        std::vector<std::tuple<std::size_t, const ml::Sequential*,
-                               const num::KernelBackend*>>
-            to_submit;
+        std::vector<std::pair<std::size_t, const ml::Sequential*>> to_submit;
         for (std::size_t m = 0; m < plan.states.size(); ++m) {
             if (degrade && static_cast<int>(m) != primary) continue;
             const ml::Sequential* model =
                 client.session->model_for(m, plan.states[m]);
             if (model != nullptr)
-                to_submit.emplace_back(m, model, &client.session->backend_for(m));
+                to_submit.emplace_back(m, model);
         }
 
         const std::uint64_t key = next_frame_key++;
@@ -299,13 +297,11 @@ struct Server::Impl {
         // enqueue closes the parse stage: plan + model resolution above,
         // batcher staging below.
         frame.trace.stamp(TracePoint::enqueue, now_us());
-        for (const auto& [m, model, backend] : to_submit) {
-            batcher.submit(
-                model, request.image.data(), arrival,
-                [this, key, m = m](int label, const BatchStamp& stamp) {
-                    on_label(key, m, label, stamp);
-                },
-                backend);
+        for (const auto& [m, model] : to_submit) {
+            batcher.submit(model, request.image.data(), arrival,
+                           [this, key, m = m](int label, const BatchStamp& stamp) {
+                               on_label(key, m, label, stamp);
+                           });
         }
     }
 

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <optional>
 #include <queue>
-#include <tuple>
 #include <unordered_map>
 #include <utility>
 
@@ -223,14 +222,12 @@ private:
         // submit happens a full batch may flush synchronously, run on_label,
         // and erase this frame — so nothing below may touch inflight_[key]
         // across a submit (operator[] would default-insert a leaked entry).
-        std::vector<std::tuple<std::size_t, const ml::Sequential*,
-                               const num::KernelBackend*>>
-            to_submit;
+        std::vector<std::pair<std::size_t, const ml::Sequential*>> to_submit;
         for (std::size_t m = 0; m < plan.states.size(); ++m) {
             if (degrade && static_cast<int>(m) != primary) continue;
             const ml::Sequential* model = session.model_for(m, plan.states[m]);
             if (model != nullptr)
-                to_submit.emplace_back(m, model, &session.backend_for(m));
+                to_submit.emplace_back(m, model);
         }
 
         const std::uint64_t key = frame_seq_++;
@@ -266,13 +263,11 @@ private:
 
         // A full queue flushes inside submit(): stamp the flush time first.
         flush_time_us_ = arrival.t_us;
-        for (const auto& [m, model, backend] : to_submit) {
-            batcher_.submit(
-                model, sample_.data(), arrival.t_us,
-                [this, key, m = m](int label, const BatchStamp& stamp) {
-                    on_label(key, m, label, stamp);
-                },
-                backend);
+        for (const auto& [m, model] : to_submit) {
+            batcher_.submit(model, sample_.data(), arrival.t_us,
+                            [this, key, m = m](int label, const BatchStamp& stamp) {
+                                on_label(key, m, label, stamp);
+                            });
         }
     }
 

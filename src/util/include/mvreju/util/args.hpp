@@ -58,9 +58,10 @@ public:
     }
 
     /// `--backend NAME` selects the kernel backend models bind at load time
-    /// ("scalar", "avx2", "int8"); empty means "resolve the MVREJU_BACKEND
+    /// ("scalar" or "avx2"); empty means "resolve the MVREJU_BACKEND
     /// environment variable, then scalar" — pass the result through
-    /// num::select_backend(), which owns that fallback chain.
+    /// num::select_backend(), which owns that fallback chain and rejects
+    /// unknown names.
     [[nodiscard]] std::string backend() const { return get("backend", std::string{}); }
 
     /// Observability flag pair shared by every binary (see obs::Session):

@@ -197,7 +197,7 @@ TEST(Detectors, FiveVersionPoolPreparable) {
     cfg.seed = 31;
     const RunMetrics m = run_scenario(towns[0].routes[0], set, cfg);
     EXPECT_EQ(m.total_frames, 120);
-    // Even fleet sizes are legal too (the 3xfloat32 + 1xint8 experiment).
+    // Even fleet sizes are legal too.
     ScenarioConfig four = cfg;
     four.versions = 4;
     EXPECT_EQ(run_scenario(towns[0].routes[0], set, four).total_frames, 120);
