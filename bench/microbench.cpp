@@ -1,5 +1,6 @@
 // Google-benchmark microbenchmarks for the performance-critical primitives:
-// detector inference, voting, DSPN reachability + steady-state solving
+// the scalar GEMM kernels on every shape the shipped models run, detector
+// inference, voting, DSPN reachability + steady-state solving
 // (dense LU vs the sparse Gauss-Seidel core across state-space sizes),
 // serial vs parallel ensemble simulation, the discrete-event health engine
 // and sign rendering. These guard against performance regressions; they do
@@ -18,6 +19,7 @@
 #include "mvreju/dspn/solver.hpp"
 #include "mvreju/ml/workspace.hpp"
 #include "mvreju/num/backend.hpp"
+#include "mvreju/num/gemm.hpp"
 #include "mvreju/num/linalg.hpp"
 #include "mvreju/num/sparse_markov.hpp"
 #include "mvreju/obs/flight_recorder.hpp"
@@ -59,6 +61,52 @@ void BM_RenderSign(benchmark::State& state) {
     for (auto _ : state) benchmark::DoNotOptimize(data::render_sign(5, 16, pose));
 }
 BENCHMARK(BM_RenderSign);
+
+/// The scalar kernel under every version's inference, one row per GEMM the
+/// six shipped models run. Args are m, n, k and nt (1 = num::sgemm_nt).
+/// Conv2D::infer runs sgemm(out_channels, oh * ow, in_channels * 9) per
+/// sample; Dense::infer runs (batch, outputs, inputs) through sgemm_nt below
+/// batch 8 and through sgemm on transposed weights from batch 8 up. Items
+/// are flops (2 per multiply-add), so items/s reads as FLOP/s.
+void BM_GemmModelShapes(benchmark::State& state) {
+    const auto m = static_cast<std::size_t>(state.range(0));
+    const auto n = static_cast<std::size_t>(state.range(1));
+    const auto k = static_cast<std::size_t>(state.range(2));
+    const bool nt = state.range(3) != 0;
+    util::Rng rng(5);
+    std::vector<float> a(m * k), b(k * n), c(m * n, 0.0f);
+    for (float& v : a) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    for (float& v : b) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    for (auto _ : state) {
+        if (nt)
+            num::sgemm_nt(m, n, k, a.data(), b.data(), c.data(), 1);
+        else
+            num::sgemm(m, n, k, a.data(), b.data(), c.data(), 1);
+        benchmark::DoNotOptimize(c.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(2 * m * n * k));
+}
+BENCHMARK(BM_GemmModelShapes)
+    ->ArgNames({"m", "n", "k", "nt"})
+    // Conv layers. av detectors S/M/L: 2 channels on the 12 x 12 grid.
+    ->Args({6, 144, 18, 0})->Args({12, 36, 54, 0})->Args({8, 144, 18, 0})
+    ->Args({8, 144, 72, 0})->Args({8, 36, 72, 0})
+    // serve TinyLeNet / MiniAlexNet / MicroResNet: 3 x 16 x 16 images.
+    ->Args({6, 256, 27, 0})->Args({12, 64, 54, 0})->Args({10, 256, 27, 0})
+    ->Args({16, 64, 90, 0})->Args({16, 64, 144, 0})->Args({12, 256, 27, 0})
+    ->Args({12, 64, 108, 0})->Args({12, 16, 108, 0})
+    // Dense layers (outputs, inputs) at batch 1 and 3 (NT) and 56 (NN).
+    ->Apply([](benchmark::internal::Benchmark* bench) {
+        const std::int64_t dense[][2] = {{32, 108}, {48, 288}, {40, 288},
+                                         {8, 32},   {8, 48},   {8, 40},
+                                         {48, 192}, {64, 256}, {8, 64}};
+        for (const auto& layer : dense) {
+            bench->Args({1, layer[0], layer[1], 1});
+            bench->Args({3, layer[0], layer[1], 1});
+            bench->Args({56, layer[0], layer[1], 0});
+        }
+    });
 
 void BM_DetectorInference(benchmark::State& state) {
     av::SensorConfig sensor;

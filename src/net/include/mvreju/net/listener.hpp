@@ -1,7 +1,8 @@
 #pragma once
 
 // Listening TCP socket on an EventLoop: binds, listens, and invokes an
-// accept callback with each new (already non-blocking) connection fd. The
+// accept callback with each new connection fd, already non-blocking and with
+// TCP_NODELAY set (replies go out as soon as they are written). The
 // Listener owns the listening fd; accepted fds belong to the callback
 // (typically wrapped in a net::Conn immediately).
 
@@ -22,7 +23,8 @@ struct ListenerOptions {
 
 class Listener {
 public:
-    /// Called once per accepted connection with a non-blocking fd.
+    /// Called once per accepted connection with a non-blocking,
+    /// TCP_NODELAY fd.
     using AcceptFn = std::function<void(int fd)>;
 
     /// Bind + listen + register with `loop`. Returns nullptr on failure and,

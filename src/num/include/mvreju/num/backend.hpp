@@ -34,9 +34,6 @@ public:
     /// Stable registry name ("scalar", "avx2").
     [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 
-    /// True when this backend reproduces the scalar kernels bit-for-bit.
-    [[nodiscard]] virtual bool bit_exact() const noexcept = 0;
-
     /// True when the current CPU can execute this backend. Compiled-in
     /// backends whose ISA the host lacks report false and must never be
     /// dispatched to (select_backend() falls back to scalar instead).

@@ -19,7 +19,6 @@ namespace {
 class ScalarBackend final : public KernelBackend {
 public:
     [[nodiscard]] std::string_view name() const noexcept override { return "scalar"; }
-    [[nodiscard]] bool bit_exact() const noexcept override { return true; }
     void sgemm(std::size_t m, std::size_t n, std::size_t k, const float* a,
                const float* b, float* c, std::size_t num_threads) const override {
         num::sgemm(m, n, k, a, b, c, num_threads);

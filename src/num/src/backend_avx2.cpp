@@ -31,6 +31,7 @@ bool avx2_supported() noexcept {
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "mvreju/util/parallel.hpp"
@@ -40,7 +41,7 @@ namespace mvreju::num {
 namespace {
 
 constexpr std::size_t kPanel = 16;  ///< microkernel width: two ymm registers
-constexpr std::size_t kRowBlock = 4;
+constexpr std::size_t kRowBlock = 6;  ///< 6 x 2 accumulators + 2 B + 1 A: 15 ymm
 
 /// Pack B (k x n, row-major) into column panels of width kPanel:
 /// packed[(jp * k + kk) * kPanel + lane] = B[kk][jp * kPanel + lane],
@@ -62,26 +63,28 @@ void pack_b_panels(std::size_t n, std::size_t k, const float* b, float* packed) 
     }
 }
 
-/// rows (≤ kRowBlock) x kPanel FMA microkernel over one packed panel;
-/// adds into C through `tail` valid lanes (tail == kPanel for full panels).
-void microkernel(std::size_t rows, std::size_t k, const float* a, std::size_t lda,
-                 const float* panel, float* c, std::size_t ldc, std::size_t tail) {
-    __m256 acc[kRowBlock][2];
-    for (std::size_t r = 0; r < rows; ++r) {
+/// MR x kPanel FMA microkernel over one packed panel (MR ≤ kRowBlock, a
+/// compile-time count so the accumulators stay in registers); adds into C
+/// through `tail` valid lanes (tail == kPanel for full panels).
+template <std::size_t MR>
+void microkernel(std::size_t k, const float* a, std::size_t lda, const float* panel,
+                 float* c, std::size_t ldc, std::size_t tail) {
+    __m256 acc[MR][2];
+    for (std::size_t r = 0; r < MR; ++r) {
         acc[r][0] = _mm256_setzero_ps();
         acc[r][1] = _mm256_setzero_ps();
     }
     for (std::size_t kk = 0; kk < k; ++kk) {
         const __m256 b0 = _mm256_loadu_ps(panel + kk * kPanel);
         const __m256 b1 = _mm256_loadu_ps(panel + kk * kPanel + 8);
-        for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t r = 0; r < MR; ++r) {
             const __m256 av = _mm256_broadcast_ss(a + r * lda + kk);
             acc[r][0] = _mm256_fmadd_ps(av, b0, acc[r][0]);
             acc[r][1] = _mm256_fmadd_ps(av, b1, acc[r][1]);
         }
     }
     if (tail == kPanel) {
-        for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t r = 0; r < MR; ++r) {
             float* crow = c + r * ldc;
             _mm256_storeu_ps(crow, _mm256_add_ps(_mm256_loadu_ps(crow), acc[r][0]));
             _mm256_storeu_ps(crow + 8,
@@ -90,12 +93,35 @@ void microkernel(std::size_t rows, std::size_t k, const float* a, std::size_t ld
         return;
     }
     alignas(32) float spill[kPanel];
-    for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t r = 0; r < MR; ++r) {
         _mm256_store_ps(spill, acc[r][0]);
         _mm256_store_ps(spill + 8, acc[r][1]);
         float* crow = c + r * ldc;
         for (std::size_t lane = 0; lane < tail; ++lane) crow[lane] += spill[lane];
     }
+}
+
+/// `rows` (≤ kRowBlock) rows against one panel: a full 6-row tile, or 4-,
+/// 2- and 1-row tiles for the remainder.
+void microkernel_rows(std::size_t rows, std::size_t k, const float* a, std::size_t lda,
+                      const float* panel, float* c, std::size_t ldc, std::size_t tail) {
+    if (rows == kRowBlock) {
+        microkernel<kRowBlock>(k, a, lda, panel, c, ldc, tail);
+        return;
+    }
+    if (rows >= 4) {
+        microkernel<4>(k, a, lda, panel, c, ldc, tail);
+        a += 4 * lda;
+        c += 4 * ldc;
+        rows -= 4;
+    }
+    if (rows >= 2) {
+        microkernel<2>(k, a, lda, panel, c, ldc, tail);
+        a += 2 * lda;
+        c += 2 * ldc;
+        rows -= 2;
+    }
+    if (rows == 1) microkernel<1>(k, a, lda, panel, c, ldc, tail);
 }
 
 /// One A row · one B row dot product, 8-wide FMA with a fixed-order
@@ -118,7 +144,6 @@ float dot_fma(std::size_t k, const float* a, const float* b) {
 class Avx2Backend final : public KernelBackend {
 public:
     [[nodiscard]] std::string_view name() const noexcept override { return "avx2"; }
-    [[nodiscard]] bool bit_exact() const noexcept override { return false; }
     [[nodiscard]] bool supported() const noexcept override { return avx2_supported(); }
 
     void sgemm(std::size_t m, std::size_t n, std::size_t k, const float* a,
@@ -134,22 +159,29 @@ public:
         pack_b_panels(n, k, b, tl_packed.data());
         const float* packed = tl_packed.data();
 
-        const std::size_t row_blocks = (m + kRowBlock - 1) / kRowBlock;
-        auto run_block = [&](std::size_t blk) {
-            const std::size_t i0 = blk * kRowBlock;
-            const std::size_t rows = m - i0 < kRowBlock ? m - i0 : kRowBlock;
+        // Rows [i0, i1) against every panel, panel-outer: a packed panel is
+        // reused from L1 by every row block in the range.
+        auto run_rows = [&](std::size_t i0, std::size_t i1) {
             for (std::size_t jp = 0; jp < panels; ++jp) {
                 const std::size_t j0 = jp * kPanel;
                 const std::size_t tail = n - j0 < kPanel ? n - j0 : kPanel;
-                microkernel(rows, k, a + i0 * k, k, packed + jp * k * kPanel,
-                            c + i0 * n + j0, n, tail);
+                for (std::size_t i = i0; i < i1; i += kRowBlock)
+                    microkernel_rows(std::min(kRowBlock, i1 - i), k, a + i * k, k,
+                                     packed + jp * k * kPanel, c + i * n + j0, n, tail);
             }
         };
+        const std::size_t row_blocks = (m + kRowBlock - 1) / kRowBlock;
         if (num_threads == 1 || row_blocks == 1) {
-            for (std::size_t blk = 0; blk < row_blocks; ++blk) run_block(blk);
+            run_rows(0, m);
             return;
         }
-        util::parallel_for(row_blocks, run_block, num_threads);
+        util::parallel_for(
+            row_blocks,
+            [&](std::size_t blk) {
+                const std::size_t i0 = blk * kRowBlock;
+                run_rows(i0, std::min(m, i0 + kRowBlock));
+            },
+            num_threads);
     }
 
     void sgemm_nt(std::size_t m, std::size_t n, std::size_t k, const float* a,

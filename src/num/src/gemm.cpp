@@ -9,27 +9,148 @@ namespace mvreju::num {
 
 namespace {
 
-/// One C row of the NN product: crow += arow · B, k ascending, one
-/// accumulator per element (the j loop carries no reduction, so the
-/// compiler vectorises it without reassociating anything).
-inline void gemm_row(std::size_t n, std::size_t k, const float* arow, const float* b,
-                     float* crow) {
-    for (std::size_t kk = 0; kk < k; ++kk) {
-        const float av = arow[kk];
-        const float* brow = b + kk * n;
-        for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+/// Four float lanes in one SSE register (GCC vector extension). Lane-wise
+/// `*` and `+` are the plain IEEE single-precision operations, so a lane
+/// computes exactly what the scalar expression would.
+using f32x4 = float __attribute__((vector_size(16)));
+
+inline f32x4 load4(const float* p) {
+    f32x4 v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+}
+
+inline void store4(float* p, f32x4 v) { std::memcpy(p, &v, sizeof v); }
+
+inline f32x4 splat(float x) { return f32x4{x, x, x, x}; }
+
+/// Rows per block: the unit both kernels tile and parallelise over.
+constexpr std::size_t kRowBlock = 4;
+
+/// MR rows of the NN product, C[0..MR) += A[0..MR) · B: an MR x 8 C tile
+/// stays in registers for the whole k loop (two B vectors loaded and one A
+/// value broadcast per row per k step), then a 4-column tile, then scalar
+/// columns for n % 4.
+template <std::size_t MR>
+void nn_rows(std::size_t n, std::size_t k, const float* a, const float* b, float* c) {
+    std::size_t j = 0;
+    for (; j + 8 <= n; j += 8) {
+        f32x4 lo[MR], hi[MR];
+        for (std::size_t r = 0; r < MR; ++r) {
+            lo[r] = load4(c + r * n + j);
+            hi[r] = load4(c + r * n + j + 4);
+        }
+        const float* brow = b + j;
+        for (std::size_t kk = 0; kk < k; ++kk, brow += n) {
+            const f32x4 b0 = load4(brow);
+            const f32x4 b1 = load4(brow + 4);
+            for (std::size_t r = 0; r < MR; ++r) {
+                const f32x4 av = splat(a[r * k + kk]);
+                lo[r] += av * b0;
+                hi[r] += av * b1;
+            }
+        }
+        for (std::size_t r = 0; r < MR; ++r) {
+            store4(c + r * n + j, lo[r]);
+            store4(c + r * n + j + 4, hi[r]);
+        }
+    }
+    if (j + 4 <= n) {
+        f32x4 acc[MR];
+        for (std::size_t r = 0; r < MR; ++r) acc[r] = load4(c + r * n + j);
+        const float* brow = b + j;
+        for (std::size_t kk = 0; kk < k; ++kk, brow += n) {
+            const f32x4 bv = load4(brow);
+            for (std::size_t r = 0; r < MR; ++r) acc[r] += splat(a[r * k + kk]) * bv;
+        }
+        for (std::size_t r = 0; r < MR; ++r) store4(c + r * n + j, acc[r]);
+        j += 4;
+    }
+    for (; j < n; ++j) {
+        for (std::size_t r = 0; r < MR; ++r) {
+            float acc = c[r * n + j];
+            for (std::size_t kk = 0; kk < k; ++kk) acc += a[r * k + kk] * b[kk * n + j];
+            c[r * n + j] = acc;
+        }
     }
 }
 
-/// One C row of the NT product: plain dot products, k ascending.
-inline void gemm_nt_row(std::size_t n, std::size_t k, const float* arow, const float* b,
-                        float* crow) {
-    for (std::size_t j = 0; j < n; ++j) {
-        const float* brow = b + j * k;
-        float acc = crow[j];
-        for (std::size_t kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
-        crow[j] = acc;
+/// In-register 4 x 4 transpose: afterwards v_t[r] holds what v_r[t] held.
+inline void transpose4(f32x4& v0, f32x4& v1, f32x4& v2, f32x4& v3) {
+    using mask = int __attribute__((vector_size(16)));
+    const f32x4 t0 = __builtin_shuffle(v0, v1, mask{0, 4, 1, 5});
+    const f32x4 t1 = __builtin_shuffle(v0, v1, mask{2, 6, 3, 7});
+    const f32x4 t2 = __builtin_shuffle(v2, v3, mask{0, 4, 1, 5});
+    const f32x4 t3 = __builtin_shuffle(v2, v3, mask{2, 6, 3, 7});
+    v0 = __builtin_shuffle(t0, t2, mask{0, 1, 4, 5});
+    v1 = __builtin_shuffle(t0, t2, mask{2, 3, 6, 7});
+    v2 = __builtin_shuffle(t1, t3, mask{0, 1, 4, 5});
+    v3 = __builtin_shuffle(t1, t3, mask{2, 3, 6, 7});
+}
+
+/// MR rows of the NT product, C[0..MR) += A[0..MR) · Bᵀ, four outputs per
+/// vector so the four dot products run as independent lanes. Every four k
+/// steps the products A[r][kk+t] * B[j+o][kk+t] are formed along k (one
+/// vector per output o) and transposed so that vector t holds step kk+t of
+/// all four outputs; adding those in t order keeps each lane's k order.
+/// The k % 4 tail gathers B[j..j+3][kk] one step at a time.
+template <std::size_t MR>
+void nt_rows(std::size_t n, std::size_t k, const float* a, const float* b, float* c) {
+    std::size_t j = 0;
+    for (; j + 4 <= n; j += 4) {
+        f32x4 acc[MR];
+        for (std::size_t r = 0; r < MR; ++r) acc[r] = load4(c + r * n + j);
+        const float* w0 = b + j * k;
+        const float* w1 = w0 + k;
+        const float* w2 = w1 + k;
+        const float* w3 = w2 + k;
+        std::size_t kk = 0;
+        for (; kk + 4 <= k; kk += 4) {
+            const f32x4 x0 = load4(w0 + kk);
+            const f32x4 x1 = load4(w1 + kk);
+            const f32x4 x2 = load4(w2 + kk);
+            const f32x4 x3 = load4(w3 + kk);
+            for (std::size_t r = 0; r < MR; ++r) {
+                const f32x4 av = load4(a + r * k + kk);
+                f32x4 p0 = av * x0, p1 = av * x1, p2 = av * x2, p3 = av * x3;
+                transpose4(p0, p1, p2, p3);
+                acc[r] += p0;
+                acc[r] += p1;
+                acc[r] += p2;
+                acc[r] += p3;
+            }
+        }
+        for (; kk < k; ++kk) {
+            const f32x4 wv = {w0[kk], w1[kk], w2[kk], w3[kk]};
+            for (std::size_t r = 0; r < MR; ++r) acc[r] += splat(a[r * k + kk]) * wv;
+        }
+        for (std::size_t r = 0; r < MR; ++r) store4(c + r * n + j, acc[r]);
     }
+    for (; j < n; ++j) {
+        const float* w = b + j * k;
+        for (std::size_t r = 0; r < MR; ++r) {
+            float acc = c[r * n + j];
+            for (std::size_t kk = 0; kk < k; ++kk) acc += a[r * k + kk] * w[kk];
+            c[r * n + j] = acc;
+        }
+    }
+}
+
+/// Run block(i0, rows) over the row blocks of an m-row product, serially or
+/// one block per parallel_for index. Blocks own disjoint C rows, so the
+/// split never touches a reduction.
+template <typename Block>
+void for_row_blocks(std::size_t m, std::size_t num_threads, const Block& block) {
+    const std::size_t blocks = (m + kRowBlock - 1) / kRowBlock;
+    auto run = [&](std::size_t blk) {
+        const std::size_t i0 = blk * kRowBlock;
+        block(i0, std::min(kRowBlock, m - i0));
+    };
+    if (num_threads == 1 || blocks == 1) {
+        for (std::size_t blk = 0; blk < blocks; ++blk) run(blk);
+        return;
+    }
+    util::parallel_for(blocks, run, num_threads);
 }
 
 }  // namespace
@@ -37,25 +158,34 @@ inline void gemm_nt_row(std::size_t n, std::size_t k, const float* arow, const f
 void sgemm(std::size_t m, std::size_t n, std::size_t k, const float* a, const float* b,
            float* c, std::size_t num_threads) {
     if (m == 0 || n == 0) return;
-    if (num_threads == 1 || m == 1) {
-        for (std::size_t i = 0; i < m; ++i) gemm_row(n, k, a + i * k, b, c + i * n);
-        return;
-    }
-    util::parallel_for(
-        m, [&](std::size_t i) { gemm_row(n, k, a + i * k, b, c + i * n); },
-        num_threads);
+    for_row_blocks(m, num_threads, [&](std::size_t i0, std::size_t rows) {
+        const float* ai = a + i0 * k;
+        float* ci = c + i0 * n;
+        if (rows == 4) {
+            nn_rows<4>(n, k, ai, b, ci);
+            return;
+        }
+        if (rows >= 2) {
+            nn_rows<2>(n, k, ai, b, ci);
+            ai += 2 * k;
+            ci += 2 * n;
+        }
+        if (rows % 2 == 1) nn_rows<1>(n, k, ai, b, ci);
+    });
 }
 
 void sgemm_nt(std::size_t m, std::size_t n, std::size_t k, const float* a,
               const float* b, float* c, std::size_t num_threads) {
     if (m == 0 || n == 0) return;
-    if (num_threads == 1 || m == 1) {
-        for (std::size_t i = 0; i < m; ++i) gemm_nt_row(n, k, a + i * k, b, c + i * n);
-        return;
-    }
-    util::parallel_for(
-        m, [&](std::size_t i) { gemm_nt_row(n, k, a + i * k, b, c + i * n); },
-        num_threads);
+    for_row_blocks(m, num_threads, [&](std::size_t i0, std::size_t rows) {
+        const float* ai = a + i0 * k;
+        float* ci = c + i0 * n;
+        if (rows == 4) {
+            nt_rows<4>(n, k, ai, b, ci);
+            return;
+        }
+        for (std::size_t r = 0; r < rows; ++r) nt_rows<1>(n, k, ai + r * k, b, ci + r * n);
+    });
 }
 
 void fill_rows(std::size_t m, std::size_t n, const float* values, float* c) {

@@ -102,7 +102,6 @@ TEST(BackendRegistry, ScalarIsAlwaysPresentAndFirst) {
     ASSERT_FALSE(all.empty());
     EXPECT_EQ(all[0], &num::scalar_backend());
     EXPECT_EQ(num::scalar_backend().name(), "scalar");
-    EXPECT_TRUE(num::scalar_backend().bit_exact());
     EXPECT_TRUE(num::scalar_backend().supported());
     EXPECT_EQ(num::backend_index(num::scalar_backend()), 0u);
 }

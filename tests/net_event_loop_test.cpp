@@ -1,7 +1,8 @@
 // Tests for the net layer the exporter and the serving layer share: the
 // EventLoop's registration bookkeeping and dispatch safety on both backends
 // (epoll and forced poll), cross-thread stop() waking a parked loop, and a
-// full Listener + Conn echo round trip per backend.
+// full Listener + Conn echo round trip per backend, and Nagle off on every
+// accepted connection.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -172,6 +174,23 @@ TEST(NetEventLoopTest, ListenerConnEchoOnBothBackends) {
         loop.stop();
         service.join();
     }
+}
+
+TEST(NetEventLoopTest, AcceptedConnectionsHaveNagleOff) {
+    net::EventLoop loop;
+    int nodelay = -1;
+    auto listener = net::Listener::open(loop, net::ListenerOptions{}, [&](int fd) {
+        socklen_t len = sizeof nodelay;
+        EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len), 0);
+        ::close(fd);
+        loop.stop();
+    });
+    ASSERT_NE(listener, nullptr);
+    std::thread service([&loop] { loop.run(10); });
+    const int fd = connect_to(listener->port());
+    service.join();
+    ::close(fd);
+    EXPECT_EQ(nodelay, 1);
 }
 
 TEST(NetEventLoopTest, ListenerRejectsBadOptions) {
