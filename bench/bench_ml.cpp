@@ -1,17 +1,16 @@
 // Machine-readable inference-engine benchmarks: the per-sample naive layer
 // loop (the pre-batching seed path) against the batched im2col+GEMM engine,
 // on the Table II eval-set workload (the procedural signs test set) for all
-// three sign-classifier architectures, plus the kernel-backend registry
-// (scalar / avx2). Emits BENCH_ml.json stamped with run metadata (git SHA,
-// build type, compiler).
+// three sign-classifier architectures, plus raw GEMM kernel throughput.
+// Emits BENCH_ml.json stamped with run metadata (git SHA, build type,
+// compiler).
 //
 // Claims checked, not just timed:
 //   * batched predictions reproduce the naive per-sample argmax on every
 //     eval image;
 //   * batched logits stay within 1e-5 of the naive ones;
 //   * batched logits are bit-identical for 1/2/4/8 threads;
-//   * every supported backend is bit-identical to itself across threads;
-//   * avx2 is argmax-identical to scalar on every eval image — the gates
+//   * the raw GEMM kernel is bit-identical for 1/2/4/8 threads — the gates
 //     bench_compare.py enforces in CI.
 //
 // Usage: bench_ml [--out PATH] [--metrics PATH] [--trace PATH]
@@ -35,7 +34,7 @@
 #include "mvreju/data/signs.hpp"
 #include "mvreju/ml/model.hpp"
 #include "mvreju/ml/workspace.hpp"
-#include "mvreju/num/backend.hpp"
+#include "mvreju/num/gemm.hpp"
 #include "mvreju/obs/buildinfo.hpp"
 #include "mvreju/obs/session.hpp"
 #include "mvreju/util/args.hpp"
@@ -101,33 +100,9 @@ struct ModelRow {
     std::vector<ThreadRow> threads;
 };
 
-/// One kernel backend's eval-set throughput sweep plus its equivalence
-/// verdict against the scalar oracle on the same (untrained) weights.
-struct BackendRow {
-    std::string name;
-    bool supported = false;
-    double gemm_gflops = 0.0;  ///< raw 1-thread sgemm throughput
-    bool argmax_identical_to_scalar = false;
-    bool bit_identical_across_threads = false;
-    std::vector<ThreadRow> threads;
-};
-
-/// Raw C += A·B throughput in GFLOP/s at one thread (the per-core number
-/// the avx2 >= 2x scalar gate compares).
-double gemm_gflops_1thread(const num::KernelBackend& kb, std::size_t m,
-                           std::size_t n, std::size_t k) {
-    util::Rng rng(4242);
-    std::vector<float> a(m * k), b(k * n), c(m * n, 0.0f);
-    for (float& v : a) v = rng.uniform(-1.0f, 1.0f);
-    for (float& v : b) v = rng.uniform(-1.0f, 1.0f);
-    const double ms =
-        time_best_ms(3, [&] { kb.sgemm(m, n, k, a.data(), b.data(), c.data(), 1); });
-    return 2.0 * static_cast<double>(m * n * k) / 1e6 / ms;
-}
-
 bool write_json(const std::string& path, std::size_t images,
                 const std::vector<ModelRow>& rows, bool all_argmax, bool all_bits,
-                double min_speedup, const std::string& backend_sections) {
+                double min_speedup, const std::string& gemm_section) {
     std::ofstream out(path);
     out << std::setprecision(17);
     out << "{\n";
@@ -157,7 +132,7 @@ bool write_json(const std::string& path, std::size_t images,
         out << "    ]}" << (i + 1 < rows.size() ? ",\n" : "\n");
     }
     out << "  ],\n";
-    out << backend_sections;
+    out << gemm_section;
     out << "  \"all_argmax_identical\": " << (all_argmax ? "true" : "false") << ",\n";
     out << "  \"all_bit_identical\": " << (all_bits ? "true" : "false") << ",\n";
     out << "  \"min_speedup_1thread\": " << min_speedup << "\n";
@@ -254,123 +229,45 @@ int main(int argc, char** argv) {
         rows.push_back(std::move(row));
     }
 
-    // ---- Kernel-backend registry: per-backend throughput + equivalence ----
+    // ---- Raw GEMM kernel: throughput + thread bit-identity ----
     //
-    // Raw GEMM throughput on a conv-shaped problem, then the eval-set sweep
-    // per backend on the same (untrained) weights the rows above used —
-    // perf is weight-independent, so the scalar rows stay bit-compatible
-    // with the pre-registry baselines.
+    // One conv-shaped C += A·B at 1/2/4/8 threads. Every C element has one
+    // accumulator whatever the thread count, so each run must memcmp-equal
+    // the 1-thread result.
     constexpr std::size_t kGemmM = 256, kGemmN = 1024, kGemmK = 256;
-    std::vector<BackendRow> backend_rows;
-    bool all_backend_bits = true;
-    bool avx2_argmax_identical = false;
-    double scalar_gflops = 0.0, avx2_gflops = 0.0;
-
-    for (const num::KernelBackend* kb : num::backends()) {
-        BackendRow br;
-        br.name = std::string(kb->name());
-        br.supported = kb->supported();
-        if (!br.supported) {
-            backend_rows.push_back(std::move(br));
-            continue;
-        }
-        br.gemm_gflops = gemm_gflops_1thread(*kb, kGemmM, kGemmN, kGemmK);
-        if (br.name == "scalar") scalar_gflops = br.gemm_gflops;
-        if (br.name == "avx2") avx2_gflops = br.gemm_gflops;
-
-        // Full-eval-set argmax vs the scalar oracle, across all three
-        // architectures (not just the sweep model). The rows above ran the
-        // models unbound, i.e. through scalar; a bound copy runs the same
-        // weights through this backend.
-        br.argmax_identical_to_scalar = true;
-        for (const ml::Sequential& model : models) {
-            ml::Sequential bound = model;
-            bound.bind_backend(kb);
-            ml::Workspace ws;
-            const ml::Tensor oracle = model.logits_batch(full_batch, ws, 1);
-            const ml::Tensor mine = bound.logits_batch(full_batch, ws, 1);
-            for (std::size_t i = 0; i < images.size(); ++i) {
-                const float* orow = oracle.data().data() + i * data::kSignClasses;
-                const float* mrow = mine.data().data() + i * data::kSignClasses;
-                std::size_t ob = 0, mb = 0;
-                for (std::size_t c = 1; c < data::kSignClasses; ++c) {
-                    if (orow[c] > orow[ob]) ob = c;
-                    if (mrow[c] > mrow[mb]) mb = c;
-                }
-                if (ob != mb) br.argmax_identical_to_scalar = false;
-            }
-        }
-        if (br.name == "avx2") avx2_argmax_identical = br.argmax_identical_to_scalar;
-
-        ml::Sequential sweep_model = models[0];  // MiniAlexNet, the largest
-        sweep_model.bind_backend(kb);
-        ml::Workspace ws;
-        const ml::Tensor ref = sweep_model.logits_batch(full_batch, ws, 1);
-        br.bit_identical_across_threads = true;
-        for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4},
-                                    std::size_t{8}}) {
-            ThreadRow tr;
-            tr.threads = threads;
-            tr.ms = time_best_ms(
-                3, [&] { (void)sweep_model.predict_batch(images, threads); });
-            tr.images_per_s = 1000.0 * static_cast<double>(images.size()) / tr.ms;
-            tr.speedup_vs_1 = br.threads.empty() ? 1.0 : br.threads.front().ms / tr.ms;
-            ml::Tensor logits_t = sweep_model.logits_batch(full_batch, ws, threads);
-            tr.bit_identical_to_1thread =
-                logits_t.size() == ref.size() &&
-                std::memcmp(logits_t.data().data(), ref.data().data(),
-                            ref.size() * sizeof(float)) == 0;
-            ws.give(std::move(logits_t));
-            br.bit_identical_across_threads =
-                br.bit_identical_across_threads && tr.bit_identical_to_1thread;
-            br.threads.push_back(tr);
-            std::cout << "backend=" << br.name << " threads=" << tr.threads
-                      << " ms=" << tr.ms << " images_per_s=" << tr.images_per_s
-                      << "\n";
-        }
-        all_backend_bits = all_backend_bits && br.bit_identical_across_threads;
-        std::cout << "backend=" << br.name << " gemm_gflops=" << br.gemm_gflops
-                  << " argmax_identical_to_scalar="
-                  << (br.argmax_identical_to_scalar ? "yes" : "no") << "\n";
-        backend_rows.push_back(std::move(br));
+    util::Rng rng(4242);
+    std::vector<float> a(kGemmM * kGemmK), b(kGemmK * kGemmN);
+    for (float& v : a) v = rng.uniform(-1.0f, 1.0f);
+    for (float& v : b) v = rng.uniform(-1.0f, 1.0f);
+    const auto gemm_once = [&](std::size_t threads) {
+        std::vector<float> c(kGemmM * kGemmN, 0.0f);
+        num::sgemm(kGemmM, kGemmN, kGemmK, a.data(), b.data(), c.data(), threads);
+        return c;
+    };
+    std::vector<float> c(kGemmM * kGemmN, 0.0f);
+    const double gemm_ms = time_best_ms(3, [&] {
+        num::sgemm(kGemmM, kGemmN, kGemmK, a.data(), b.data(), c.data(), 1);
+    });
+    const std::vector<float> gemm_ref = gemm_once(1);
+    const double gemm_gflops =
+        2.0 * static_cast<double>(kGemmM * kGemmN * kGemmK) / 1e6 / gemm_ms;
+    bool gemm_bits = true;
+    for (std::size_t threads : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+        const std::vector<float> got = gemm_once(threads);
+        gemm_bits = gemm_bits && std::memcmp(got.data(), gemm_ref.data(),
+                                             gemm_ref.size() * sizeof(float)) == 0;
     }
-    const bool avx2_supported =
-        num::find_backend("avx2") != nullptr && num::avx2_supported();
-    const double avx2_speedup =
-        scalar_gflops > 0.0 ? avx2_gflops / scalar_gflops : 0.0;
+    std::cout << "gemm " << kGemmM << "x" << kGemmN << "x" << kGemmK
+              << " gflops_1thread=" << gemm_gflops
+              << " bit_identical_across_threads=" << (gemm_bits ? "yes" : "no")
+              << "\n";
 
     std::ostringstream extra;
     extra << std::setprecision(17);
-    extra << "  \"backends\": [\n";
-    for (std::size_t i = 0; i < backend_rows.size(); ++i) {
-        const BackendRow& br = backend_rows[i];
-        extra << "    {\"name\": \"" << br.name << "\", \"supported\": "
-              << (br.supported ? "true" : "false")
-              << ", \"gemm_gflops\": " << br.gemm_gflops
-              << ", \"argmax_identical_to_scalar\": "
-              << (br.argmax_identical_to_scalar ? "true" : "false")
-              << ", \"bit_identical_across_threads\": "
-              << (br.bit_identical_across_threads ? "true" : "false")
-              << ", \"threads\": [";
-        for (std::size_t t = 0; t < br.threads.size(); ++t) {
-            const ThreadRow& tr = br.threads[t];
-            extra << "\n      {\"threads\": " << tr.threads << ", \"ms\": " << tr.ms
-                  << ", \"images_per_s\": " << tr.images_per_s
-                  << ", \"speedup_vs_1\": " << tr.speedup_vs_1 << "}"
-                  << (t + 1 < br.threads.size() ? "," : "\n    ");
-        }
-        extra << "]}" << (i + 1 < backend_rows.size() ? ",\n" : "\n");
-    }
-    extra << "  ],\n";
     extra << "  \"gemm\": {\"m\": " << kGemmM << ", \"n\": " << kGemmN
-          << ", \"k\": " << kGemmK << ", \"scalar_gflops\": " << scalar_gflops
-          << ", \"avx2_gflops\": " << avx2_gflops << "},\n";
-    extra << "  \"avx2_supported\": " << (avx2_supported ? "true" : "false") << ",\n";
-    extra << "  \"avx2_gemm_speedup\": " << avx2_speedup << ",\n";
-    extra << "  \"avx2_argmax_identical\": "
-          << (avx2_argmax_identical ? "true" : "false") << ",\n";
-    extra << "  \"all_backends_bit_identical\": "
-          << (all_backend_bits ? "true" : "false") << ",\n";
+          << ", \"k\": " << kGemmK << ", \"gflops_1thread\": " << gemm_gflops
+          << ", \"bit_identical_across_threads\": " << (gemm_bits ? "true" : "false")
+          << "},\n";
 
     if (!write_json(out_path, images.size(), rows, all_argmax, all_bits, min_speedup,
                     extra.str())) {
@@ -378,8 +275,7 @@ int main(int argc, char** argv) {
         return 1;
     }
     std::cout << "wrote " << out_path << " (min 1-thread speedup " << min_speedup
-              << "x, avx2 " << (avx2_supported ? "supported" : "unavailable")
-              << ", avx2_gemm_speedup " << avx2_speedup << "x)\n";
+              << "x)\n";
     if (!all_argmax) {
         std::cerr << "ERROR: batched argmax differs from the per-sample path\n";
         return 1;
@@ -388,12 +284,8 @@ int main(int argc, char** argv) {
         std::cerr << "ERROR: batched logits not bit-identical across thread counts\n";
         return 1;
     }
-    if (!all_backend_bits) {
-        std::cerr << "ERROR: a backend is not bit-identical across thread counts\n";
-        return 1;
-    }
-    if (avx2_supported && !avx2_argmax_identical) {
-        std::cerr << "ERROR: avx2 backend argmax differs from the scalar oracle\n";
+    if (!gemm_bits) {
+        std::cerr << "ERROR: GEMM not bit-identical across thread counts\n";
         return 1;
     }
     if (min_speedup < 3.0)

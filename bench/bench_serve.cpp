@@ -87,13 +87,7 @@ int main(int argc, char** argv) {
     const std::string out_path = args.get("out", std::string("BENCH_serve.json"));
     obs::Session session(args, "BENCH_serve.metrics.json");
 
-    // --backend selects the kernel backend for the whole fleet (scalar by
-    // default); the emitted table carries it so baselines from different
-    // backends are never compared against each other silently.
-    serve::ModelSetConfig set_config;
-    set_config.backend = args.backend();
-    const serve::ModelSet set = serve::make_model_set(set_config);
-    std::cout << "backend: " << set.backend_name << "\n";
+    const serve::ModelSet set = serve::make_model_set();
 
     // --- Equivalence + determinism -------------------------------------
     const serve::FleetOptions eq = nominal();
@@ -310,7 +304,6 @@ int main(int argc, char** argv) {
     out << "{\n";
     out << "  \"bench\": \"serve\",\n";
     out << "  \"meta\": " << obs::run_metadata_json() << ",\n";
-    out << "  \"backend\": \"" << set.backend_name << "\",\n";
     out << "  \"hardware_threads\": " << util::hardware_threads() << ",\n";
     out << "  \"equivalence\": {\"streams\": " << eq.streams
         << ", \"hash_match_unbatched\": " << (hash_match ? "true" : "false")

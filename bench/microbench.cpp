@@ -18,7 +18,6 @@
 #include "mvreju/dspn/simulate.hpp"
 #include "mvreju/dspn/solver.hpp"
 #include "mvreju/ml/workspace.hpp"
-#include "mvreju/num/backend.hpp"
 #include "mvreju/num/gemm.hpp"
 #include "mvreju/num/linalg.hpp"
 #include "mvreju/num/sparse_markov.hpp"
@@ -147,25 +146,13 @@ void BM_SignClassifierInferenceBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_SignClassifierInferenceBatched);
 
-/// The pooled-im2col guarantee, asserted, per backend: after one warm-up
+/// The pooled-im2col guarantee, asserted: after one warm-up
 /// batch sizes the Workspace pool, repeated same-shape conv inference
 /// performs zero heap growth (Workspace::allocation_count() is flat). A
 /// regression here silently turns the batched hot loop into an allocation
 /// storm, so the bench fails rather than just reporting a slower number.
 void BM_ConvBatchSteadyState(benchmark::State& state) {
-    const std::size_t index = static_cast<std::size_t>(state.range(0));
-    if (index >= num::backends().size()) {
-        state.SkipWithError("backend not compiled in");
-        return;
-    }
-    const num::KernelBackend& kb = *num::backends()[index];
-    if (!kb.supported()) {
-        state.SkipWithError("backend not supported on this host");
-        return;
-    }
-    state.SetLabel(std::string(kb.name()));
-    ml::Sequential model = ml::make_mini_alexnet(3, 16, data::kSignClasses, 1);
-    model.bind_backend(&kb);
+    const ml::Sequential model = ml::make_mini_alexnet(3, 16, data::kSignClasses, 1);
     std::vector<std::size_t> shape{32, 3, 16, 16};
     ml::Tensor batch(shape);
     util::Rng rng(3);
@@ -183,7 +170,7 @@ void BM_ConvBatchSteadyState(benchmark::State& state) {
         state.SkipWithError("conv path allocated in steady state");
     state.SetItemsProcessed(state.iterations() * 32);
 }
-BENCHMARK(BM_ConvBatchSteadyState)->Arg(0)->Arg(1)->UseRealTime();
+BENCHMARK(BM_ConvBatchSteadyState)->UseRealTime();
 
 void BM_MajorityVote(benchmark::State& state) {
     core::Voter<int> voter;

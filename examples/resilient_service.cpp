@@ -149,9 +149,7 @@ int serve_streams(const util::Args& args) {
         static_cast<std::uint64_t>(args.batch_delay_us(2000));
     const double hold_seconds = args.get("hold-seconds", 0.0);
 
-    serve::ModelSetConfig set_config;
-    set_config.backend = args.backend();
-    const serve::ModelSet set = serve::make_model_set(set_config);
+    const serve::ModelSet set = serve::make_model_set();
     serve::Server server(set, options);
     std::string error;
     if (!server.start(&error)) {
@@ -159,12 +157,10 @@ int serve_streams(const util::Args& args) {
         return 1;
     }
     std::printf("serving perception streams on %s:%d "
-                "(max-streams %d, batch-max %d, batch-delay %llu us, "
-                "backend %s)\n",
+                "(max-streams %d, batch-max %d, batch-delay %llu us)\n",
                 options.host.c_str(), server.port(), options.max_streams,
                 options.batch_max,
-                static_cast<unsigned long long>(options.batch_delay_us),
-                set.backend_name.c_str());
+                static_cast<unsigned long long>(options.batch_delay_us));
     if (obs::Exporter::global().running())
         std::printf("fleet telemetry on 127.0.0.1:%d/fleet "
                     "(tools/fleet_top --port %d)\n",

@@ -11,7 +11,6 @@
 
 #include "mvreju/ml/layers.hpp"
 #include "mvreju/ml/tensor.hpp"
-#include "mvreju/num/backend.hpp"
 
 namespace mvreju::ml {
 
@@ -72,19 +71,6 @@ public:
     [[nodiscard]] std::size_t layer_count() const noexcept { return layers_.size(); }
     [[nodiscard]] Layer& layer(std::size_t index) { return *layers_.at(index); }
 
-    /// Bind the kernel backend every inference entry point dispatches
-    /// through (load-time binding: the hot loop never branches on backend
-    /// choice). nullptr restores the scalar oracle. Copies inherit the
-    /// binding. Like the other mutators, must not overlap with inference.
-    void bind_backend(const num::KernelBackend* backend) noexcept {
-        backend_ = backend;
-    }
-
-    /// The bound backend (scalar when none was bound).
-    [[nodiscard]] const num::KernelBackend& backend() const noexcept {
-        return backend_ == nullptr ? num::scalar_backend() : *backend_;
-    }
-
     /// Inference pass (no gradient caching).
     [[nodiscard]] Tensor logits(const Tensor& input) const;
 
@@ -130,7 +116,6 @@ public:
 private:
     std::string name_;
     std::vector<std::unique_ptr<Layer>> layers_;
-    const num::KernelBackend* backend_ = nullptr;  ///< nullptr == scalar
 };
 
 /// Softmax cross-entropy loss value for logits vs a target class.

@@ -13,14 +13,12 @@
 #include <vector>
 
 #include "mvreju/ml/tensor.hpp"
-#include "mvreju/num/backend.hpp"
 
 namespace mvreju::ml {
 
-/// Arena of recycled Tensors plus two raw float scratch buffers, doubling
-/// as the execution context that carries the kernel backend the layers
-/// dispatch through. Not thread-safe — use one Workspace per thread (see
-/// the thread-safety contract in model.hpp).
+/// Arena of recycled Tensors plus two raw float scratch buffers. Not
+/// thread-safe — use one Workspace per thread (see the thread-safety
+/// contract in model.hpp).
 class Workspace {
 public:
     /// A tensor of `shape`, recycled from the pool when one is available.
@@ -53,18 +51,6 @@ public:
         return aux_;
     }
 
-    /// Bind the kernel backend layers dispatch through; nullptr means the
-    /// scalar oracle. Sequential::logits_batch re-binds this on every call
-    /// from the model's own binding, so the hot loop never branches on it.
-    void bind_kernels(const num::KernelBackend* kernels) noexcept {
-        kernels_ = kernels;
-    }
-
-    /// The bound backend (scalar when none was bound).
-    [[nodiscard]] const num::KernelBackend& kernels() const noexcept {
-        return kernels_ == nullptr ? num::scalar_backend() : *kernels_;
-    }
-
     /// Number of heap growth events (new pooled tensor, tensor capacity
     /// growth, scratch capacity growth) since construction. In the steady
     /// state — same shapes batch after batch — this must stay constant;
@@ -92,7 +78,6 @@ private:
     std::vector<Tensor> pool_;
     std::vector<float> col_;
     std::vector<float> aux_;
-    const num::KernelBackend* kernels_ = nullptr;
     std::size_t allocations_ = 0;
 };
 

@@ -112,7 +112,6 @@ Tensor Dense::infer(const Tensor& batch, Workspace& ws,
                                     ") batch, got " + shape_string(batch.shape()));
     const std::size_t nb = batch.shape()[0];
     Tensor out = ws.take({nb, outputs_});
-    const num::KernelBackend& kb = ws.kernels();
     const float* w = params_.data();
     const float* bias = w + inputs_ * outputs_;
     num::fill_rows(nb, outputs_, bias, out.data().data());
@@ -121,11 +120,11 @@ Tensor Dense::infer(const Tensor& batch, Workspace& ws,
         // streaming NN kernel (vectorises over outputs).
         std::vector<float>& wt = ws.aux(inputs_ * outputs_);
         num::transpose(outputs_, inputs_, w, wt.data());
-        kb.sgemm(nb, outputs_, inputs_, batch.data().data(), wt.data(),
-                 out.data().data(), num_threads);
+        num::sgemm(nb, outputs_, inputs_, batch.data().data(), wt.data(),
+                   out.data().data(), num_threads);
     } else {
-        kb.sgemm_nt(nb, outputs_, inputs_, batch.data().data(), w,
-                    out.data().data(), num_threads);
+        num::sgemm_nt(nb, outputs_, inputs_, batch.data().data(), w,
+                      out.data().data(), num_threads);
     }
     count_gemm_flops(2ull * nb * outputs_ * inputs_);
     return out;
@@ -267,7 +266,6 @@ Tensor Conv2D::infer(const Tensor& batch, Workspace& ws,
     const std::size_t ohow = oh * ow;
 
     Tensor out = ws.take({nb, out_channels_, oh, ow});
-    const num::KernelBackend& kb = ws.kernels();
     const float* weights = params_.data();
     const float* bias = weights + out_channels_ * ckk;
     const float* in = batch.data().data();
@@ -292,7 +290,7 @@ Tensor Conv2D::infer(const Tensor& batch, Workspace& ws,
                     col_s);
         float* out_s = outp + s * out_channels_ * ohow;
         num::fill_cols(out_channels_, ohow, bias, out_s);
-        kb.sgemm(out_channels_, ohow, ckk, weights, col_s, out_s, 1);
+        num::sgemm(out_channels_, ohow, ckk, weights, col_s, out_s, 1);
     };
     if (lanes == 1) {
         for (std::size_t s = 0; s < nb; ++s) run_sample(s, colp);

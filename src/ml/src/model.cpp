@@ -31,7 +31,7 @@ constexpr std::size_t kPredictChunk = 256;
 }  // namespace
 
 Sequential::Sequential(const Sequential& other)
-    : name_(other.name_), backend_(other.backend_) {
+    : name_(other.name_) {
     layers_.reserve(other.layers_.size());
     for (const auto& layer : other.layers_) layers_.push_back(layer->clone());
 }
@@ -70,8 +70,6 @@ Tensor Sequential::logits(const Tensor& input) const {
 Tensor Sequential::logits_batch(const Tensor& batch, Workspace& ws,
                                 std::size_t num_threads) const {
     if (layers_.empty()) throw std::logic_error("Sequential: empty model");
-    const num::KernelBackend& kernels = backend();
-    ws.bind_kernels(&kernels);
     if (batch.rank() < 2 || batch.shape()[0] == 0)
         throw std::invalid_argument(
             "Sequential::logits_batch: expected non-empty batch with a leading "
@@ -91,24 +89,9 @@ Tensor Sequential::logits_batch(const Tensor& batch, Workspace& ws,
         "ml.infer.batch_size", obs::HistogramBounds::exponential(1.0, 2.0, 10));
     static obs::Gauge& workspace_bytes =
         obs::metrics().gauge("ml.infer.workspace_bytes");
-    static obs::Gauge& backend_gauge = obs::metrics().gauge("ml.backend.name");
-    // Which backend served: the gauge holds the registry index of the most
-    // recent dispatch, the per-backend counters tally dispatches by name.
-    // The counters are resolved once, indexed by registry position, so a
-    // dispatch builds no name and does no by-name registry lookup.
-    static const std::vector<obs::Counter*> dispatches = [] {
-        std::vector<obs::Counter*> table;
-        for (const num::KernelBackend* kb : num::backends())
-            table.push_back(&obs::metrics().counter("ml.backend.dispatches." +
-                                                    std::string(kb->name())));
-        return table;
-    }();
     images.add(nb);
     batch_sizes.record(static_cast<double>(nb));
     workspace_bytes.set(static_cast<double>(ws.bytes()));
-    const std::size_t index = num::backend_index(kernels);
-    backend_gauge.set(static_cast<double>(index));
-    dispatches[index]->add(1);
     return x;
 }
 

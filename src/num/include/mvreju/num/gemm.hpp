@@ -1,7 +1,8 @@
 #pragma once
 
 // Single-precision GEMM + im2col kernel pair backing the batched ML
-// inference engine (src/ml). Design rules every caller relies on:
+// inference engine (src/ml): the one inference kernel, called directly by
+// the layers. Design rules every caller relies on:
 //
 //  - Reproducibility: each output element C[i][j] is produced by exactly one
 //    task with a single accumulator, seeded with its initial value and
@@ -14,10 +15,11 @@
 //    float lanes, SSE on x86-64). One lane is one C element's accumulator,
 //    and lane-wise `*` and `+` are the same IEEE operations as the scalar
 //    ones, so a tile only changes which elements are in flight together,
-//    never the arithmetic of any one element. This assumes no fused
-//    multiply-add: on the default target there is none, while a -march with
-//    FMA lets GCC contract some multiply-adds and not others, in the naive
-//    loops as much as in the kernels.
+//    never the arithmetic of any one element. This holds when gemm.cpp (and
+//    any naive loop it is compared with) is compiled with
+//    -ffp-contract=off, which src/num/CMakeLists.txt sets for that file:
+//    with GCC's default -ffp-contract=fast, a -march with FMA would fuse
+//    some multiply-adds into FMAs and leave others alone.
 //  - Layout: all matrices are dense row-major float. The kernels accumulate
 //    into C (`C += A·B`), so the caller seeds C with zeros or a broadcast
 //    bias via fill_rows()/fill_cols() first.

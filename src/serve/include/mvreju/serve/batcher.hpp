@@ -5,18 +5,14 @@
 // batcher stages them per model and flushes a staged batch through one
 // Sequential::logits_batch call either when it reaches max_batch (full
 // flush, inside submit) or when its oldest sample has waited max_delay_us
-// (deadline flush, driven by the owner's clock through flush_due). A flush
-// runs through the kernel backend the model was bound to at load time.
+// (deadline flush, driven by the owner's clock through flush_due).
 //
-// Correctness contract: on the scalar backend logits_batch guarantees every
-// sample's logits are bit-identical however the samples are batched and
-// whatever num_threads is used, and the per-row argmax below replicates
-// ml::argmax's first-max tie-break exactly — so a label produced through
-// any batching equals the label of model->predict(sample).
-// tests/serve_batcher_test.cpp holds this bit-exactly; the serve benchmark
-// gates on it across a whole fleet. avx2 is deterministic per batch size
-// but its Dense layer sums in a different order at batch >= 8 than at
-// batch 1, so an avx2-bound model matches predict() up to argmax near-ties.
+// Correctness contract: logits_batch guarantees every sample's logits are
+// bit-identical however the samples are batched and whatever num_threads is
+// used, and the per-row argmax below replicates ml::argmax's first-max
+// tie-break exactly — so a label produced through any batching equals the
+// label of model->predict(sample). tests/serve_batcher_test.cpp holds this
+// bit-exactly; the serve benchmark gates on it across a whole fleet.
 //
 // The batcher is passive and clock-agnostic: it never reads a clock, the
 // caller stamps submissions with `now_us` (virtual time in the deterministic

@@ -47,7 +47,6 @@ struct StreamRow {
 /// A parsed "mvreju.fleet.v1" document.
 struct FleetDoc {
     std::string schema;
-    std::string backend;  ///< kernel backend name; empty in older documents
     std::uint64_t now_us = 0;
     std::uint64_t window_us = 0;
     std::uint64_t streams = 0;

@@ -92,12 +92,6 @@ public:
         return breach_by_stage_;
     }
 
-    /// Name of the kernel backend serving the fleet's float32 versions
-    /// (ModelSet::backend_name); rendered into the /fleet document so
-    /// fleet_top can show which arithmetic served each stream.
-    void set_backend(std::string backend) { backend_ = std::move(backend); }
-    [[nodiscard]] const std::string& backend() const noexcept { return backend_; }
-
     /// CPU share of one pipeline stage over the profiler's recent window.
     /// Mirrors obs::StageCpu without depending on the profiler — FleetStats
     /// stays a pure fold of pushed observations.
@@ -152,7 +146,6 @@ private:
                                           std::uint64_t now_us) const;
 
     Options options_;
-    std::string backend_ = "scalar";
     std::vector<StageCpuShare> cpu_by_stage_;
     obs::WindowedDigest::Options digest_options_;
     std::vector<StreamState> streams_;  ///< sorted by stream id

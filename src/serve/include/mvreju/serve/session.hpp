@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "mvreju/core/health.hpp"
@@ -30,8 +31,7 @@
 namespace mvreju::serve {
 
 /// Pointer table into the shared models, indexed by version: the batcher
-/// needs the raw Sequential for a (version, health state) pair. Each model
-/// carries its own load-time backend binding.
+/// needs the raw Sequential for a (version, health state) pair.
 struct StreamModelPool {
     std::vector<const ml::Sequential*> healthy;
     std::vector<const ml::Sequential*> compromised;
@@ -57,8 +57,6 @@ struct ModelSet {
     std::shared_ptr<const Pool> behaviours;
     /// Per-sample input shape, e.g. {3, 16, 16}.
     std::vector<std::size_t> input_shape;
-    /// Name of the kernel backend the versions are bound to.
-    std::string backend_name = "scalar";
 
     /// Flat element count of one input sample (C*H*W).
     [[nodiscard]] std::size_t sample_size() const {
@@ -71,9 +69,10 @@ struct ModelSetConfig {
     std::size_t side = 16;
     int classes = 8;
     std::uint64_t seed = 38;  ///< init seeds: seed, seed+1, seed+2
-    /// Kernel backend the versions bind at load time; resolved via
-    /// num::select_backend ("" → MVREJU_BACKEND env → scalar, with CPUID
-    /// fallback). Unknown names throw.
+    /// There is one GEMM kernel, so this field selects nothing: it exists
+    /// only because the benchmark harness (perfbench) pins it to "scalar".
+    /// "" and "scalar" are accepted; anything else, "avx2" included, makes
+    /// make_model_set throw std::invalid_argument.
     std::string backend;
 };
 

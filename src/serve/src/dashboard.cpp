@@ -42,9 +42,6 @@ FleetDoc parse(const std::string& json_text) {
         throw std::runtime_error("dashboard: unsupported schema " + out.schema);
     out.now_us = as_u64(doc.at("now_us"));
     out.window_us = as_u64(doc.at("window_us"));
-    // Optional: documents rendered before the backend registry existed
-    // (or hand-built test fixtures) simply omit it.
-    if (const util::Json* backend = doc.find("backend")) out.backend = backend->str();
     out.streams = as_u64(doc.at("streams"));
     out.frames = as_u64(doc.at("frames"));
     const util::Json& status = doc.at("status");
@@ -103,8 +100,7 @@ std::string render(const FleetDoc& doc) {
            "s  window " +
            fixed(static_cast<double>(doc.window_us) / 1e6, 0, 1) +
            "s  streams " + std::to_string(doc.streams) + "  frames " +
-           std::to_string(doc.frames) +
-           (doc.backend.empty() ? "" : "  backend " + doc.backend) + "\n";
+           std::to_string(doc.frames) + "\n";
     out += "status  decided " + std::to_string(doc.decided) + "  skipped " +
            std::to_string(doc.skipped) + "  no_output " +
            std::to_string(doc.no_output) + "  shed " + std::to_string(doc.shed) +

@@ -150,7 +150,6 @@ std::string FleetStats::to_json(std::uint64_t now_us, bool include_meta) const {
     out += ",\n\"window_us\": " +
            std::to_string(digest_options_.slot_width_us *
                           static_cast<std::uint64_t>(digest_options_.slots));
-    out += ",\n\"backend\": \"" + backend_ + "\"";
     out += ",\n\"streams\": " + std::to_string(streams_.size());
     out += ",\n\"frames\": " + std::to_string(frames_);
     out += ",\n\"status\": {";

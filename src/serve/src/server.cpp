@@ -86,9 +86,7 @@ struct Server::Impl {
                                           server_options.infer_threads,
                                           model_set.input_shape,
                                           [this] { return now_us(); }}),
-          overload(server_options.overload) {
-        fleet_stats.set_backend(model_set.backend_name);
-    }
+          overload(server_options.overload) {}
 
     [[nodiscard]] std::uint64_t now_us() const {
         return static_cast<std::uint64_t>(

@@ -22,15 +22,12 @@ core::MultiVersionSystem<ml::Tensor, int> make_system(
 }  // namespace
 
 ModelSet make_model_set(const ModelSetConfig& config) {
+    if (!config.backend.empty() && config.backend != "scalar")
+        throw std::invalid_argument("make_model_set: unknown kernel backend '" +
+                                    config.backend + "' (only \"scalar\" exists)");
     ModelSet set;
-    const num::KernelBackend& fleet_backend = num::select_backend(config.backend);
-    auto add_version = [&set, &fleet_backend](ml::Sequential model,
-                                              std::uint64_t inject_seed) {
+    auto add_version = [&set](ml::Sequential model, std::uint64_t inject_seed) {
         auto pristine = std::make_unique<ml::Sequential>(std::move(model));
-        // Load-time binding: every inference through this version — inline
-        // predict(), behaviours, batched flushes — dispatches through the
-        // fleet backend without per-call branching.
-        pristine->bind_backend(&fleet_backend);
         auto twin = std::make_unique<ml::Sequential>(*pristine);
         // Same fault model as the paper's classifiers: one random weight of
         // the first layer overwritten with uniform([-10, 30)).
@@ -60,7 +57,6 @@ ModelSet make_model_set(const ModelSetConfig& config) {
     }
     set.behaviours = std::make_shared<const ModelSet::Pool>(std::move(specs));
     set.input_shape = {config.channels, config.side, config.side};
-    set.backend_name = std::string(fleet_backend.name());
     return set;
 }
 

@@ -421,7 +421,6 @@ private:
 
 FleetResult run_fleet(const ModelSet& set, const FleetOptions& options,
                       FleetStats* stats) {
-    if (stats != nullptr) stats->set_backend(set.backend_name);
     FleetRun run(set, options, stats);
     return run.run();
 }

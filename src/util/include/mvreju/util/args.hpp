@@ -57,13 +57,6 @@ public:
         return get_int("batch-delay-us", fallback, 0, 10000000);
     }
 
-    /// `--backend NAME` selects the kernel backend models bind at load time
-    /// ("scalar" or "avx2"); empty means "resolve the MVREJU_BACKEND
-    /// environment variable, then scalar" — pass the result through
-    /// num::select_backend(), which owns that fallback chain and rejects
-    /// unknown names.
-    [[nodiscard]] std::string backend() const { return get("backend", std::string{}); }
-
     /// Observability flag pair shared by every binary (see obs::Session):
     /// `--trace FILE` writes a Chrome trace-event JSON of the run,
     /// `--metrics FILE` writes a metrics snapshot blob. Empty when absent.

@@ -1,9 +1,9 @@
 // Equivalence suite for the batched im2col+GEMM inference engine: the
 // stateless infer() path must reproduce the per-sample training-grade
 // forward() path (identical argmax on the full signs eval set, logits within
-// 1e-5) and be bit-identical across thread counts. Also covers the
-// input-shape validation added to the layers, the Softmax layer, and the
-// Workspace buffer pool.
+// 1e-5) and be bit-identical across thread counts and batch sizes. Also
+// covers the input-shape validation added to the layers, the Softmax layer,
+// and the Workspace buffer pool, including its allocation steady state.
 
 #include <gtest/gtest.h>
 
@@ -99,6 +99,27 @@ TEST(InferEquivalence, BitIdenticalAcrossThreadCounts) {
                       0)
                 << "threads=" << threads;
             ws.give(std::move(logits));
+        }
+    }
+}
+
+TEST(InferEquivalence, BatchedLogitsBitIdenticalToBatchOne) {
+    // Batch size changes which GEMM kernel the Dense layers call (sgemm_nt
+    // for small batches, sgemm on a transposed copy for large ones), never
+    // the arithmetic of one logit: every row of a full-set batch must
+    // memcmp-equal the same sample run alone. The serving layer's
+    // label-equals-predict() contract rests on this.
+    const std::vector<Tensor>& images = signs().test.images;
+    for (Sequential& model : reference_models()) {
+        SCOPED_TRACE(model.name());
+        Workspace ws;
+        const Tensor batched = model.logits_batch(stack(images), ws, 1);
+        for (std::size_t i = 0; i < images.size(); ++i) {
+            const Tensor alone = model.logits(images[i]);
+            ASSERT_EQ(std::memcmp(batched.data().data() + i * alone.size(),
+                                  alone.data().data(), alone.size() * sizeof(float)),
+                      0)
+                << "sample " << i;
         }
     }
 }
@@ -242,6 +263,20 @@ TEST(WorkspaceTest, RecyclesBuffersAcrossShapes) {
     // Scratch buffers are sized on demand and tracked by bytes().
     (void)ws.col(128);
     EXPECT_GE(ws.bytes(), grown + 128 * sizeof(float));
+}
+
+TEST(WorkspaceTest, ConvPathReachesAllocationSteadyState) {
+    // The guarantee behind the pooled im2col buffer: after a warm-up batch,
+    // repeated same-shape inference performs zero heap growth.
+    const Sequential model = make_mini_alexnet(3, 16, data::kSignClasses, 38);
+    const std::vector<Tensor> subset(signs().test.images.begin(),
+                                     signs().test.images.begin() + 32);
+    const Tensor batch = stack(subset);
+    Workspace ws;
+    ws.give(model.logits_batch(batch, ws, 4));  // warm-up sizes the pool
+    const std::size_t warm = ws.allocation_count();
+    for (int round = 0; round < 5; ++round) ws.give(model.logits_batch(batch, ws, 4));
+    EXPECT_EQ(ws.allocation_count(), warm) << "steady-state allocations";
 }
 
 }  // namespace

@@ -88,16 +88,18 @@ TEST(InferHammer, SharedWorkspaceFreeLogitsBatchPerThread) {
     const Tensor golden = model.logits_batch(batch, golden_ws, 1);
 
     // Each thread brings its own Workspace, as the Layer contract requires;
-    // the model itself is shared and must never be written.
+    // the model itself is shared and must never be written. Threads also
+    // fan their own batch out over 1-3 workers, so nested parallelism runs
+    // on the shared model too.
     constexpr std::size_t kThreads = 8;
     std::atomic<int> mismatches{0};
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
     for (std::size_t t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&] {
+        threads.emplace_back([&, t] {
             Workspace ws;
             for (int round = 0; round < 4; ++round) {
-                Tensor logits = model.logits_batch(batch, ws, 1);
+                Tensor logits = model.logits_batch(batch, ws, 1 + t % 3);
                 if (logits.size() != golden.size()) {
                     mismatches.fetch_add(1);
                 } else {

@@ -7,26 +7,15 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "mvreju/ml/model.hpp"
-#include "mvreju/num/backend.hpp"
-#include "mvreju/obs/metrics.hpp"
-#include "mvreju/obs/obs.hpp"
 #include "mvreju/serve/batcher.hpp"
 #include "mvreju/util/rng.hpp"
 
 namespace {
 
 using namespace mvreju;
-
-/// Current value of the process-global counter `name` (0 when unregistered).
-std::uint64_t counter_value(const std::string& name) {
-    for (const obs::CounterValue& c : obs::metrics().snapshot().counters)
-        if (c.name == name) return c.value;
-    return 0;
-}
 
 std::vector<float> random_sample(util::Rng& rng, std::size_t n) {
     std::vector<float> sample(n);
@@ -122,25 +111,11 @@ TEST(ServeBatcherTest, BatchedLabelsBitIdenticalToPredict) {
     // The serving layer's correctness hinge: however samples are batched
     // and however many threads flush them, every label equals the
     // unbatched model->predict() for that sample.
-    std::vector<ml::Sequential> models = {
+    const std::vector<ml::Sequential> models = {
         ml::make_tiny_lenet(3, 16, 8, 7),
         ml::make_mini_alexnet(3, 16, 8, 8),
         ml::make_micro_resnet(3, 16, 8, 9),
     };
-    // The batcher honours each model's load-time backend: a copy of the
-    // first model bound to avx2 (when the host runs it) gets its own queue,
-    // its flushes dispatch through avx2, and its labels match its own
-    // predict(). Scalar labels are bit-identical by construction; avx2
-    // logits differ in the last ulps between batch 1 and batch >= 8 (the
-    // Dense layer switches GEMM kernels), so for it this is argmax
-    // agreement on these samples, not a bit-identity guarantee.
-    const num::KernelBackend* avx2 = num::find_backend("avx2");
-    const bool with_avx2 = avx2 != nullptr && avx2->supported();
-    if (with_avx2) {
-        ml::Sequential bound = models.front();
-        bound.bind_backend(avx2);
-        models.push_back(std::move(bound));
-    }
     util::Rng rng(14);
     constexpr int kSamples = 48;
 
@@ -155,7 +130,6 @@ TEST(ServeBatcherTest, BatchedLabelsBitIdenticalToPredict) {
             ml::Tensor({3, 16, 16}, samples.back())));
     }
 
-    const std::uint64_t avx2_before = counter_value("ml.backend.dispatches.avx2");
     for (const int max_batch : {1, 3, 16, 64}) {
         for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
             serve::DynamicBatcher batcher(options_with(max_batch, 10, threads));
@@ -176,9 +150,6 @@ TEST(ServeBatcherTest, BatchedLabelsBitIdenticalToPredict) {
                     << " threads " << threads;
             }
         }
-    }
-    if (with_avx2 && obs::enabled()) {
-        EXPECT_GT(counter_value("ml.backend.dispatches.avx2"), avx2_before);
     }
 }
 

@@ -116,7 +116,7 @@ TEST(ServeDashboardTest, HandBuiltDocumentRendersExactLines) {
     const std::vector<std::string> lines = lines_of(serve::dashboard::render(doc));
     ASSERT_GE(lines.size(), 8u);
     EXPECT_EQ(lines[0],
-              "fleet @ 4.000s  window 4.0s  streams 2  frames 2  backend scalar");
+              "fleet @ 4.000s  window 4.0s  streams 2  frames 2");
     EXPECT_EQ(lines[1],
               "status  decided 2  skipped 0  no_output 0  shed 0  error 0");
     EXPECT_EQ(lines[2], "        degraded 0  slo_breaches 1");

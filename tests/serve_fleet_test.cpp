@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "mvreju/serve/overload.hpp"
 #include "mvreju/serve/session.hpp"
 #include "mvreju/serve/synthetic.hpp"
@@ -136,6 +138,21 @@ TEST(ServeFleetTest, SynchronousCompletionDoesNotLeakInflight) {
     const serve::FleetResult result = serve::run_fleet(shared_set(), options);
     EXPECT_EQ(result.dropped, 0u);
     EXPECT_EQ(result.decided + result.skipped + result.no_output, result.frames);
+}
+
+TEST(ServeFleetTest, ModelSetAcceptsOnlyTheOneKernel) {
+    // One GEMM kernel exists; the config field only tolerates the names that
+    // mean it, so a stale request for another kernel fails loudly.
+    serve::ModelSetConfig config;
+    for (const char* name : {"", "scalar"}) {
+        config.backend = name;
+        EXPECT_NO_THROW((void)serve::make_model_set(config)) << name;
+    }
+    for (const char* name : {"avx2", "cuda"}) {
+        config.backend = name;
+        EXPECT_THROW((void)serve::make_model_set(config), std::invalid_argument)
+            << name;
+    }
 }
 
 TEST(ServeOverloadControlTest, HysteresisEntersAndExits) {

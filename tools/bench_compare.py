@@ -14,11 +14,11 @@ paths (array indices as [i]):
         "direction": "lower" for lower-is-better metrics
     {"path": "...", "ratio_of": ["num.path", "den.path"], "baseline": ...}
         same, over a quotient of two metrics (machine-robust speedups)
-    {"path": "avx2_gemm_speedup", "min": 2.0, "when": "avx2_supported"}
+    {"path": "profiler.overhead_percent", "max": 2.0, "when": "profiler.ran"}
         conditional gate: only checked when the "when" path resolves truthy
         in the *current* blob — skipped (not failed) otherwise. Used for
-        per-backend rows that depend on host capabilities, e.g. the avx2
-        kernels on a CPU without AVX2.
+        rows that depend on the run, e.g. a profiler section that only
+        runs when the sampling timer could be armed.
 
 Exit status 0 when every gate in every file passes, 1 otherwise.
 """
